@@ -41,7 +41,7 @@ from .patterns import (
     parse_pattern,
     parse_statespace,
 )
-from .reduction import Component, ReducedGraph, connected_components, edge_is_redundant, remove_redundant_edges
+from .reduction import Component, ReducedGraph, connected_components, remove_redundant_edges
 from .statespace import (
     StateSpaceReport,
     analyze_statespace,
@@ -69,7 +69,6 @@ __all__ = [
     "matchings_of_size",
     "ReducedGraph",
     "Component",
-    "edge_is_redundant",
     "remove_redundant_edges",
     "connected_components",
     "CONTROLLABLE",

@@ -112,32 +112,23 @@ def build_graph(pattern: PolyPattern) -> WeightedBigraph:
     return WeightedBigraph(pattern.rows, pattern.cols, pattern.sorted_entries())
 
 
-def _augment(
-    adj,
-    r_count: int,
-    pair_r: list[int],
-    pair_c: list[int],
-    skip_r: int = -1,
-    skip_c: int = -1,
-    stop_at: int | None = None,
-) -> int:
-    """Grow a matching to maximum cardinality by shortest augmenting paths.
+def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int]]:
+    """Maximum matching by shortest augmenting paths: its size and the column of each row.
 
-    ``pair_r``/``pair_c`` hold the current (valid) matching and are updated
-    in place.  Vertices ``skip_r``/``skip_c`` are treated as deleted.  If
-    ``stop_at`` is given, augmentation stops early once the matching reaches
-    that size.  Returns the final matching size.  Deterministic: free rows
-    are scanned in ascending order, adjacency lists are sorted.
+    Deterministic: free rows are scanned in ascending order, adjacency
+    lists are sorted.
     """
-    size = sum(1 for r in range(r_count) if r != skip_r and pair_r[r] != _UNMATCHED)
+    adj = g.r_adj
+    r_count = g.r_count
+    pair_r = [_UNMATCHED] * r_count
+    pair_c = [_UNMATCHED] * g.c_count
+    size = 0
     dist = [0.0] * r_count
 
     def bfs() -> bool:
         queue = []
         for r in range(r_count):
-            if r == skip_r:
-                dist[r] = _INF
-            elif pair_r[r] == _UNMATCHED:
+            if pair_r[r] == _UNMATCHED:
                 dist[r] = 0.0
                 queue.append(r)
             else:
@@ -150,8 +141,6 @@ def _augment(
             if dist[r] >= found:
                 continue
             for c in adj[r]:
-                if c == skip_c:
-                    continue
                 r2 = pair_c[c]
                 if r2 == _UNMATCHED:
                     found = dist[r] + 1
@@ -168,8 +157,6 @@ def _augment(
             r, it = frames[-1]
             descended = False
             for c in it:
-                if c == skip_c:
-                    continue
                 r2 = pair_c[c]
                 if r2 == _UNMATCHED:
                     pair_r[r] = c
@@ -192,19 +179,10 @@ def _augment(
                     chosen.pop()
         return False
 
-    while (stop_at is None or size < stop_at) and bfs():
+    while bfs():
         for r in range(r_count):
-            if r != skip_r and pair_r[r] == _UNMATCHED and dfs(r):
+            if pair_r[r] == _UNMATCHED and dfs(r):
                 size += 1
-                if stop_at is not None and size >= stop_at:
-                    break
-    return size
-
-
-def _max_matching_pairs(g: WeightedBigraph, skip_r: int = -1, skip_c: int = -1) -> tuple[int, list[int]]:
-    pair_r = [_UNMATCHED] * g.r_count
-    pair_c = [_UNMATCHED] * g.c_count
-    size = _augment(g.r_adj, g.r_count, pair_r, pair_c, skip_r, skip_c)
     return size, pair_r
 
 

@@ -119,7 +119,7 @@ def _print_report(report: AnalysisReport, quiet: bool):
 
 def cmd_analyze(args) -> int:
     pattern = parse_pattern(_read_text(args.file))
-    g, rg, _ = _timed_reduction(pattern, args.optimized)
+    g, rg, _ = _timed_reduction(pattern)
     report = analyze_reduction(g, rg)
     if args.json:
         print(json.dumps(_report_json(report)))
@@ -128,18 +128,18 @@ def cmd_analyze(args) -> int:
     return 0 if report.controllable else 1
 
 
-def _timed_reduction(pattern: PolyPattern, optimized: bool):
+def _timed_reduction(pattern: PolyPattern):
     g = build_graph(pattern)
     if not g.edges:
         raise ZeroTermRankError("pattern has no entries; no equations effectively present")
     t0 = time.perf_counter()
-    rg = remove_redundant_edges(g, optimized=optimized)
+    rg = remove_redundant_edges(g)
     return g, rg, time.perf_counter() - t0
 
 
 def cmd_statespace(args) -> int:
     ss = parse_statespace(_read_text(args.file))
-    rep = analyze_statespace(ss, optimized=args.optimized)
+    rep = analyze_statespace(ss)
     seeds = _parse_seeds(args.seeds)
 
     cross = None
@@ -213,8 +213,10 @@ def _random_pattern(rows: int, cols: int, edges: int, max_degree: int, seed: int
     if edges < 0 or edges > rows * cols:
         raise ValueError(f"edge count {edges} out of range for {rows}x{cols} pattern")
     rng = random.Random(seed)
-    cells = [(i, j) for i in range(rows) for j in range(cols)]
-    chosen = rng.sample(cells, edges)
+    # Sampling cell indices, not a list of cells, keeps memory in proportion
+    # to the entries; sample() draws from len(population) alone, so a seed
+    # picks the same cells either way.
+    chosen = [divmod(idx, cols) for idx in rng.sample(range(rows * cols), edges)]
     return PolyPattern(rows, cols, {cell: rng.randint(0, max_degree) for cell in chosen})
 
 
@@ -245,7 +247,7 @@ def cmd_bench(args) -> int:
     for p in sizes:
         pattern = _random_pattern(p, p, args.edges_factor * p, args.max_degree, args.seed * 1_000_003 + p)
         t0 = time.perf_counter()
-        g, rg, reduce_s = _timed_reduction(pattern, args.optimized)
+        g, rg, reduce_s = _timed_reduction(pattern)
         report = analyze_reduction(g, rg)
         total_s = time.perf_counter() - t0
         results.append(
@@ -284,12 +286,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", parents=[common], help="verdict for a pattern file")
     p_an.add_argument("file", help="pattern file, or - for stdin")
-    p_an.add_argument("--optimized", action="store_true", help="use the multi-marking reduction")
     p_an.set_defaults(func=cmd_analyze)
 
     p_ss = sub.add_parser("statespace", parents=[common], help="verdict for a statespace file")
     p_ss.add_argument("file", help="statespace file, or - for stdin")
-    p_ss.add_argument("--optimized", action="store_true", help="use the multi-marking reduction")
     p_ss.add_argument("--seeds", default="0,1,2,3,4", help="seeds for the numeric cross-checks")
     p_ss.add_argument("--coeff-range", type=int, default=99, help="coefficient magnitude bound")
     p_ss.set_defaults(func=cmd_statespace)
@@ -319,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--max-degree", type=int, default=2)
     p_b.add_argument("--seed", type=int, default=0)
     p_b.add_argument("--timeout", type=float, default=10.0, help="per-row budget in seconds")
-    p_b.add_argument("--optimized", action="store_true", help="use the multi-marking reduction")
     p_b.add_argument("--json", action="store_true")
     p_b.set_defaults(func=cmd_bench)
 

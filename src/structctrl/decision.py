@@ -152,7 +152,7 @@ def analyze_reduction(g: WeightedBigraph, rg: ReducedGraph) -> AnalysisReport:
     )
 
 
-def analyze(pattern: PolyPattern, optimized: bool = False) -> AnalysisReport:
+def analyze(pattern: PolyPattern) -> AnalysisReport:
     """Full structural-controllability analysis of a pattern.
 
     Raises ZeroTermRankError for a pattern with no entries: with no
@@ -161,7 +161,7 @@ def analyze(pattern: PolyPattern, optimized: bool = False) -> AnalysisReport:
     g = build_graph(pattern)
     if not g.edges:
         raise ZeroTermRankError("pattern has no entries; no equations effectively present")
-    rg = remove_redundant_edges(g, optimized=optimized)
+    rg = remove_redundant_edges(g)
     return analyze_reduction(g, rg)
 
 

@@ -6,20 +6,31 @@ underlying matrix, so removing it changes nothing about the zero set.
 The subgraph left after removing every redundant edge drives the final
 controllability verdict through its connected components.
 
-Classification test: edge (r, c) lies in some r1-matching iff the graph
-with vertices r and c deleted still has a matching of size r1 - 1.
+Classification (Dulmage & Mendelsohn 1958; Tassa 2012): take one maximum
+matching M.  Every edge of M is kept.  An edge (r, c) outside M lies in
+some r1-matching, and is kept, exactly when one of three things holds:
+
+- r is reachable by an M-alternating path from an unmatched row
+  (steps r -> c -> M(c));
+- c is reachable by an M-alternating path from an unmatched column
+  (steps c -> r -> M(r));
+- r and M(c) lie in one strongly connected component of the row digraph
+  with an arc r -> M(c) for every edge (r, c), i.e. (r, c) lies on an
+  M-alternating cycle.
+
+Each test is a linear-time graph search, so the whole classification
+costs O(V + E) on top of the matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bigraph import _UNMATCHED, WeightedBigraph, _augment, _max_matching_pairs
+from .bigraph import _UNMATCHED, WeightedBigraph, _max_matching_pairs
 
 __all__ = [
     "ReducedGraph",
     "Component",
-    "edge_is_redundant",
     "remove_redundant_edges",
     "connected_components",
 ]
@@ -51,83 +62,100 @@ class Component:
         return max((w for _, _, w in self.edges), default=0)
 
 
-def edge_is_redundant(g: WeightedBigraph, edge: tuple[int, int], rank: int) -> bool:
-    """True iff ``edge`` lies in no matching of cardinality ``rank``.
+def _alternating_reach(adj, mate: list[int], other_mate: list[int]) -> list[bool]:
+    """Vertices of one side reachable by M-alternating paths from its unmatched vertices.
 
-    ``rank`` must be the term rank of ``g``.  Pure and independent per edge,
-    so calls may run concurrently.
+    ``adj`` and ``mate`` belong to that side, ``other_mate`` to the other;
+    from vertex x a path takes any edge (x, y) and then the matching edge at y.
     """
-    r, c = edge
-    if not g.has_edge(r, c):
-        raise ValueError(f"edge ({r},{c}) not present in graph")
-    pair_r = [_UNMATCHED] * g.r_count
-    pair_c = [_UNMATCHED] * g.c_count
-    size = _augment(g.r_adj, g.r_count, pair_r, pair_c, skip_r=r, skip_c=c, stop_at=rank - 1)
-    return size < rank - 1
+    queue = [x for x, y in enumerate(mate) if y == _UNMATCHED]
+    reached = [False] * len(mate)
+    for x in queue:
+        reached[x] = True
+    for x in queue:
+        for y in adj[x]:
+            x2 = other_mate[y]
+            if x2 != _UNMATCHED and not reached[x2]:
+                reached[x2] = True
+                queue.append(x2)
+    return reached
 
 
-def _strip_endpoints(pair_r, pair_c, r: int, c: int):
-    """Copy a matching, dropping any pair that touches row r or column c."""
-    pr = list(pair_r)
-    pc = list(pair_c)
-    if pr[r] != _UNMATCHED:
-        pc[pr[r]] = _UNMATCHED
-        pr[r] = _UNMATCHED
-    if pc[c] != _UNMATCHED:
-        pr[pc[c]] = _UNMATCHED
-        pc[c] = _UNMATCHED
-    return pr, pc
+def _row_cycle_components(g: WeightedBigraph, pair_c: list[int]) -> list[int]:
+    """Strongly connected component of each row in the digraph r -> M(c), one arc per edge (r, c).
+
+    Two rows share a component exactly when an M-alternating cycle passes
+    through both.  Iterative Tarjan, so large graphs cannot exhaust the stack.
+    """
+    n = g.r_count
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(g.r_adj[root]))]
+        while work:
+            r, it = work[-1]
+            for c in it:
+                r2 = pair_c[c]
+                if r2 == _UNMATCHED or r2 == r:
+                    continue
+                if index[r2] == -1:
+                    index[r2] = low[r2] = counter
+                    counter += 1
+                    stack.append(r2)
+                    work.append((r2, iter(g.r_adj[r2])))
+                    break
+                if comp[r2] == -1 and index[r2] < low[r]:
+                    low[r] = index[r2]  # r2 is still on the stack
+            else:
+                work.pop()
+                if work and low[r] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[r]
+                if low[r] == index[r]:
+                    while True:
+                        x = stack.pop()
+                        comp[x] = r
+                        if x == r:
+                            break
+    return comp
 
 
-def remove_redundant_edges(g: WeightedBigraph, optimized: bool = False) -> ReducedGraph:
+def remove_redundant_edges(g: WeightedBigraph) -> ReducedGraph:
     """Classify every edge against matchings of size term_rank(g) and drop the redundant ones.
 
-    The result is independent of edge processing order and of the
-    ``optimized`` flag.  With ``optimized`` set, two shortcuts are applied:
-    whenever an edge is certified non-redundant by completing it to a
-    full-rank matching, every edge of that matching is marked non-redundant
-    at once, and redundant edges are removed from the working graph
-    immediately so later searches traverse less.  Neither shortcut can
-    change the outcome: removed edges lie in no full-rank matching, so the
-    set of full-rank matchings (which defines the classification) is
-    untouched.
+    One maximum matching, two alternating-path searches and one strongly
+    connected component pass: O(V + E) beyond the matching.  The result
+    does not depend on which maximum matching is found.
     """
-    rank, base_pair_r = _max_matching_pairs(g)
-    base_pair_c = [_UNMATCHED] * g.c_count
-    for r, c in enumerate(base_pair_r):
+    rank, pair_r = _max_matching_pairs(g)
+    pair_c = [_UNMATCHED] * g.c_count
+    for r, c in enumerate(pair_r):
         if c != _UNMATCHED:
-            base_pair_c[c] = r
+            pair_c[c] = r
+
+    row_reached = _alternating_reach(g.r_adj, pair_r, pair_c)
+    col_reached = _alternating_reach(g.c_adj, pair_c, pair_r)
+    cycle_comp = _row_cycle_components(g, pair_c)
 
     kept: list[tuple[int, int, int]] = []
     removed: list[tuple[int, int, int]] = []
+    for r, c, w in g.edges:
+        # An unmatched column is reached, so pair_c[c] is a row by the last test.
+        if pair_r[r] == c or row_reached[r] or col_reached[c] or cycle_comp[r] == cycle_comp[pair_c[c]]:
+            kept.append((r, c, w))
+        else:
+            removed.append((r, c, w))
 
-    if not optimized:
-        for r, c, w in g.edges:
-            if base_pair_r[r] == c:
-                kept.append((r, c, w))  # edge of the base maximum matching
-                continue
-            pr, pc = _strip_endpoints(base_pair_r, base_pair_c, r, c)
-            size = _augment(g.r_adj, g.r_count, pr, pc, skip_r=r, skip_c=c, stop_at=rank - 1)
-            (removed if size < rank - 1 else kept).append((r, c, w))
-    else:
-        adj = [list(cs) for cs in g.r_adj]
-        non_redundant = {(r, c) for r, c in enumerate(base_pair_r) if c != _UNMATCHED}
-        for r, c, w in g.edges:
-            if (r, c) in non_redundant:
-                kept.append((r, c, w))
-                continue
-            pr, pc = _strip_endpoints(base_pair_r, base_pair_c, r, c)
-            size = _augment(adj, g.r_count, pr, pc, skip_r=r, skip_c=c, stop_at=rank - 1)
-            if size < rank - 1:
-                removed.append((r, c, w))
-                adj[r].remove(c)
-            else:
-                kept.append((r, c, w))
-                non_redundant.add((r, c))
-                non_redundant.update((rr, cc) for rr, cc in enumerate(pr) if cc != _UNMATCHED)
-
-    reduced = WeightedBigraph(g.r_count, g.c_count, sorted(kept))
-    return ReducedGraph(graph=reduced, redundant=tuple(sorted(removed)), base_rank=rank)
+    # g.edges is sorted, so kept and removed already are.
+    reduced = WeightedBigraph(g.r_count, g.c_count, kept)
+    return ReducedGraph(graph=reduced, redundant=tuple(removed), base_rank=rank)
 
 
 class _DisjointSet:

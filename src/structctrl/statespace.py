@@ -62,14 +62,17 @@ def strict_monomial_entries(ss: StateSpacePattern) -> frozenset[tuple[int, int]]
     return frozenset((i, i) for i in range(ss.n) if (i, i) not in ss.a_entries)
 
 
-def analyze_statespace(ss: StateSpacePattern, optimized: bool = False) -> StateSpaceReport:
+def analyze_statespace(ss: StateSpacePattern) -> StateSpaceReport:
     """Analyze [sI - A  B] and tabulate which states reach an input vertex."""
-    base = analyze(controllability_pencil(ss), optimized=optimized)
-    connectivity = []
-    for state in range(ss.n):
-        comp = next(c for c in base.components if state in c.cols)
-        connectivity.append(any(col >= ss.n for col in comp.cols))
-    return StateSpaceReport(base=base, state_connectivity=tuple(connectivity))
+    base = analyze(controllability_pencil(ss))
+    # The components partition the columns, so one pass marks every state.
+    connected = [False] * ss.n
+    for comp in base.components:
+        if any(col >= ss.n for col in comp.cols):
+            for col in comp.cols:
+                if col < ss.n:
+                    connected[col] = True
+    return StateSpaceReport(base=base, state_connectivity=tuple(connected))
 
 
 def controller_canonical(n: int) -> StateSpacePattern:

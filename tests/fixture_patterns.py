@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from structctrl import PolyPattern, StateSpacePattern
+from structctrl import PolyPattern, ReducedGraph, StateSpacePattern, WeightedBigraph, max_matching, term_rank
 
 
 def wide_2x3() -> PolyPattern:
@@ -56,6 +56,34 @@ def chain_ss() -> StateSpacePattern:
 
 def integrator_ss() -> StateSpacePattern:
     return StateSpacePattern(1, 1, frozenset(), frozenset({(0, 0)}))
+
+
+def edge_is_redundant(g: WeightedBigraph, edge: tuple[int, int], rank: int) -> bool:
+    """Reference definition: True iff ``edge`` lies in no matching of cardinality ``rank``.
+
+    ``rank`` must be the term rank of ``g``.  An edge (r, c) lies in such a
+    matching exactly when the graph without every edge at row r or column c
+    still has a matching of size rank - 1.  One full matching per edge, so
+    only for checking the linear-time classifier on test-sized graphs.
+    """
+    r, c = edge
+    if not g.has_edge(r, c):
+        raise ValueError(f"edge ({r},{c}) not present in graph")
+    rest = WeightedBigraph(g.r_count, g.c_count, [e for e in g.edges if e[0] != r and e[1] != c])
+    return term_rank(rest) < rank - 1
+
+
+def reference_reduction(g: WeightedBigraph) -> ReducedGraph:
+    """The reduction of ``g`` as ``edge_is_redundant`` classifies its edges.
+
+    Edges of one maximum matching lie in a maximum matching by definition
+    and are kept without a search.
+    """
+    rank = term_rank(g)
+    matched = max_matching(g).pairs
+    redundant = tuple(e for e in g.edges if (e[0], e[1]) not in matched and edge_is_redundant(g, (e[0], e[1]), rank))
+    kept = [e for e in g.edges if e not in redundant]
+    return ReducedGraph(graph=WeightedBigraph(g.r_count, g.c_count, kept), redundant=redundant, base_rank=rank)
 
 
 def random_pattern(

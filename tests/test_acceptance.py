@@ -18,6 +18,7 @@ from structctrl import (
     CONTROLLABLE,
     PolyPattern,
     analyze,
+    analyze_reduction,
     analyze_statespace,
     build_graph,
     connected_components,
@@ -31,6 +32,7 @@ from structctrl import (
     matchings_of_size,
     minor_determinant,
     minor_gcd,
+    parse_pattern,
     remove_redundant_edges,
     siso_interconnection,
     strict_monomial_entries,
@@ -45,6 +47,7 @@ from fixture_patterns import (
     forced_block,
     random_pattern,
     random_statespace,
+    reference_reduction,
     relay_ss,
     shared_drive_ss,
     starved_rows,
@@ -292,16 +295,18 @@ def test_a10_shared_drive_two_conventions_study():
 
 def test_a11_bench_ladder_under_budget_with_identical_verdicts(capsys):
     assert cli_main(["bench", "--sizes", "50,100,200,400", "--json"]) == 0
-    plain = json.loads(capsys.readouterr().out)
-    assert cli_main(["bench", "--sizes", "50,100,200,400", "--json", "--optimized"]) == 0
-    optimized = json.loads(capsys.readouterr().out)
+    ladder = json.loads(capsys.readouterr().out)
 
-    assert [row["p"] for row in plain] == [50, 100, 200, 400]
-    for row, opt_row in zip(plain, optimized):
-        assert row["edge_count"] == 3 * row["p"]
+    assert [row["p"] for row in ladder] == [50, 100, 200, 400]
+    for row in ladder:
+        p = row["p"]
+        assert row["edge_count"] == 3 * p
         assert row["total_seconds"] < 10.0
-        assert opt_row["total_seconds"] < 10.0
         assert row["status"] == "ok"
-        assert row["verdict"] == opt_row["verdict"]
-    worst = max(row["total_seconds"] for row in plain)
-    _line(11, True, f"ladder done, slowest row {worst:.2f}s, optimized verdicts identical")
+        # bench row p uses the seed 1_000_003 * seed + p, with the default seed 0
+        gen = ["gen", "random", "--rows", str(p), "--cols", str(p), "--density-edges", str(3 * p), "--seed", str(p)]
+        assert cli_main(gen) == 0
+        g = build_graph(parse_pattern(capsys.readouterr().out))
+        assert analyze_reduction(g, reference_reduction(g)).verdict == row["verdict"]
+    worst = max(row["total_seconds"] for row in ladder)
+    _line(11, True, f"ladder done, slowest row {worst:.2f}s, verdicts identical to the per-edge reference")

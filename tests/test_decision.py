@@ -140,12 +140,6 @@ class TestAnalyze:
                 assert len(comp.rows) == len(comp.cols)
                 assert report.witness.weight >= 1
 
-    def test_optimized_flag_same_report(self):
-        rng = random.Random(4)
-        for _ in range(50):
-            p = random_pattern(rng)
-            assert analyze(p) == analyze(p, optimized=True)
-
 
 class TestCriteriaEquivalence:
     def test_wide_all_degree_one(self):

@@ -13,13 +13,12 @@ from structctrl import (
     connected_components,
     controllability_pencil,
     controller_canonical,
-    edge_is_redundant,
     matchings_of_size,
     remove_redundant_edges,
     term_rank,
 )
 
-from fixture_patterns import shared_drive_ss, starved_rows, wide_2x3
+from fixture_patterns import edge_is_redundant, reference_reduction, shared_drive_ss, starved_rows, wide_2x3
 
 
 class TestEdgeClassification:
@@ -138,10 +137,36 @@ def test_classification_matches_enumeration_oracle(g):
         assert edge_is_redundant(g, (r, c), rank) == (not in_some)
 
 
-@settings(max_examples=200, deadline=None)
-@given(weighted_graphs())
-def test_optimized_reduction_is_identical(g):
-    assert remove_redundant_edges(g, optimized=True) == remove_redundant_edges(g, optimized=False)
+@st.composite
+def seeded_large_graphs(draw):
+    """Seeded sparse graphs of 20-60 rows by 20-80 columns: wide, tall or rank-deficient.
+
+    The rank-deficient kind confines its first k rows to k // 2 columns, so
+    Hall's condition fails and the term rank stays below min(rows, cols).
+    """
+    kind = draw(st.sampled_from(("wide", "tall", "deficient")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "wide":
+        rows = rng.randint(20, 60)
+        cols = rng.randint(rows + 1, 80)
+    elif kind == "tall":
+        cols = rng.randint(20, 59)
+        rows = rng.randint(cols + 1, 60)
+    else:
+        rows = rng.randint(20, 60)
+        cols = rng.randint(rows, 80)
+    confined = rng.randint(4, rows // 2) if kind == "deficient" else 0
+    edges = set()
+    for r in range(rows):
+        reach = confined // 2 if r < confined else cols
+        edges.update((r, rng.randrange(reach)) for _ in range(rng.randint(1, 3)))
+    return WeightedBigraph(rows, cols, [(r, c, rng.randint(0, 2)) for r, c in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(weighted_graphs(), seeded_large_graphs()))
+def test_reduction_matches_per_edge_reference(g):
+    assert remove_redundant_edges(g) == reference_reduction(g)
 
 
 @settings(max_examples=150, deadline=None)
