@@ -26,7 +26,6 @@ from .oracle import (
     det_bareiss,
     instantiate,
     kalman_controllable,
-    minor_determinant,
     minor_gcd,
     poly_exact_div,
     poly_gcd,
@@ -94,7 +93,6 @@ __all__ = [
     "poly_gcd",
     "poly_exact_div",
     "instantiate",
-    "minor_determinant",
     "det_bareiss",
     "minor_gcd",
     "zero_set_empty",

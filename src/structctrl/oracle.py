@@ -3,11 +3,13 @@
 The combinatorial analysis claims a verdict that holds for all parameter
 values outside a measure-zero set.  This module checks such claims on
 concrete instances: fill the pattern with random integer-coefficient
-polynomials, compute all maximal-minor determinants exactly, take their
-gcd, and test whether it is constant (empty zero set) or not.  A single
-random integer point almost surely avoids any fixed degeneracy variety,
-so one constant-gcd witness settles "generically empty"; a claim of
-"generically nonempty" is accepted only when every seed fails.
+polynomials, take the gcd of all maximal minors exactly, and test whether
+it is constant (empty zero set) or not.  The minors come one at a time,
+until the gcd is constant, from one Laplace expansion whose memo they all
+share (Gentleman and Johnson 1976).  A single random integer point almost
+surely avoids any fixed degeneracy variety, so one constant-gcd witness
+settles "generically empty"; a claim of "generically nonempty" is accepted
+only when every seed fails.
 
 Everything is arbitrary-precision integer/rational arithmetic; no floats.
 """
@@ -29,7 +31,6 @@ __all__ = [
     "poly_gcd",
     "poly_exact_div",
     "instantiate",
-    "minor_determinant",
     "det_bareiss",
     "minor_gcd",
     "zero_set_empty",
@@ -286,50 +287,8 @@ def instantiate(
     return ExactMatrix(pattern.rows, pattern.cols, tuple(tuple(row) for row in grid))
 
 
-def minor_determinant(matrix: ExactMatrix, row_set, col_set) -> ExactPoly:
-    """Exact determinant of the submatrix on the given rows and columns.
-
-    Rows and columns are taken in sorted order.  Cofactor expansion along
-    rows, memoized on the set of still-unused columns.
-    """
-    rows = sorted(row_set)
-    cols = sorted(col_set)
-    if len(rows) != len(set(rows)) or len(cols) != len(set(cols)):
-        raise ValueError("row or column selection contains duplicates")
-    if len(rows) != len(cols):
-        raise ValueError(f"selection is not square: {len(rows)} rows, {len(cols)} columns")
-    if any(not 0 <= r < matrix.rows for r in rows) or any(not 0 <= c < matrix.cols for c in cols):
-        raise ValueError("selection out of range")
-    k = len(rows)
-    one = ExactPoly.constant(1)
-    if k == 0:
-        return one
-    zero = ExactPoly()
-    memo: dict[int, ExactPoly] = {}
-
-    def det(mask: int) -> ExactPoly:
-        if mask == 0:
-            return one
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        i = k - bin(mask).count("1")  # rows 0..i-1 already consumed
-        total = zero
-        sign = 1
-        for j in range(k):
-            if mask >> j & 1:
-                e = matrix.entry(rows[i], cols[j])
-                if not e.is_zero:
-                    total = total + sign * (e * det(mask & ~(1 << j)))
-                sign = -sign
-        memo[mask] = total
-        return total
-
-    return det((1 << k) - 1)
-
-
 def det_bareiss(matrix: ExactMatrix, row_set=None, col_set=None) -> ExactPoly:
-    """Determinant by fraction-free elimination; independent of minor_determinant.
+    """Determinant by fraction-free elimination; independent of the Laplace expansion in minor_gcd.
 
     Every division is exact in integer polynomials (the entries after each
     elimination step are themselves minors of the original matrix).
@@ -363,16 +322,55 @@ def det_bareiss(matrix: ExactMatrix, row_set=None, col_set=None) -> ExactPoly:
     return sign * grid[n - 1][n - 1]
 
 
+def _laplace(grid, memo: dict[int, ExactPoly], rows: int, cols: int, shift: int) -> ExactPoly:
+    """Determinant of ``grid`` on the row and column bitmasks (equal popcounts).
+
+    Expands along the lowest remaining row.  ``memo``, keyed on ``rows << shift | cols``
+    and holding 0 -> 1 for the empty minor, may be shared by every minor of ``grid``.
+    """
+    key = rows << shift | cols
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    low = rows & -rows
+    row = grid[low.bit_length() - 1]
+    rest = rows ^ low
+    total: list[int] = []  # coefficients, summed in place
+    sign = 1
+    left = cols
+    while left:
+        bit = left & -left
+        left ^= bit
+        e = row[bit.bit_length() - 1].coeffs
+        if e:
+            sub = _laplace(grid, memo, rest, cols ^ bit, shift).coeffs if rest else (1,)
+            if len(total) < len(e) + len(sub) - 1:
+                total.extend([0] * (len(e) + len(sub) - 1 - len(total)))
+            for i, a in enumerate(e):
+                a *= sign
+                for j, b in enumerate(sub, i):
+                    total[j] += a * b
+        sign = -sign
+    det = memo[key] = ExactPoly(total)
+    return det
+
+
 def minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:
     """Gcd of all size-by-size minor determinants; None if every minor vanishes.
 
-    Stops early once the gcd is constant.  The result is the positive
-    primitive representative.
+    A tall matrix is transposed first, which keeps every minor.  Minors
+    are taken one at a time in lexicographic order, all through one
+    shared Laplace memo, and the scan stops as soon as the gcd is
+    constant.  The result is the positive primitive representative,
+    which does not depend on that order.
     """
+    n_rows, n_cols = sorted((matrix.rows, matrix.cols))
+    grid = matrix.grid if matrix.rows <= matrix.cols else tuple(zip(*matrix.grid))
+    memo = {0: ExactPoly.constant(1)}
     acc: ExactPoly | None = None
-    for rows in combinations(range(matrix.rows), size):
-        for cols in combinations(range(matrix.cols), size):
-            d = minor_determinant(matrix, rows, cols)
+    for rows in combinations([1 << i for i in range(n_rows)], size):
+        for cols in combinations([1 << j for j in range(n_cols)], size):
+            d = _laplace(grid, memo, sum(rows), sum(cols), n_cols)
             if d.is_zero:
                 continue
             acc = _sign_normalized(d.primitive_part()) if acc is None else poly_gcd(acc, d)
@@ -437,23 +435,25 @@ def zero_set_gcd_degrees(
 
 
 def _rank_exact(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over the rationals."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
+    """Rank over Q of an integer matrix by fraction-free (Bareiss 1968) elimination.
+
+    Every entry after a step is a minor of the input, so each division is exact.
+    """
+    m = [list(row) for row in rows]
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
     rank = 0
+    prev = 1
     for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
+        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(n_rows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, n_rows):
+            f = m[r][col]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = p
         rank += 1
         if rank == n_rows:
             break
@@ -466,7 +466,7 @@ def kalman_controllable(
     coeff_bound: int = DEFAULT_COEFF_BOUND,
     max_states: int = 12,
 ) -> bool:
-    """Classical cross-check: rank of [B, AB, ..., A^(n-1) B] over exact rationals.
+    """Classical cross-check: rank of [B, AB, ..., A^(n-1) B] over Q by fraction-free elimination.
 
     A and B get random nonzero integers at the pattern positions and exact
     zeros elsewhere; full rank n at any seed certifies structural

@@ -6,8 +6,18 @@ Indices here are 0-based, matching the library's internal convention.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from structctrl import PolyPattern, ReducedGraph, StateSpacePattern, WeightedBigraph, max_matching, term_rank
+from structctrl import (
+    ExactMatrix,
+    ExactPoly,
+    PolyPattern,
+    ReducedGraph,
+    StateSpacePattern,
+    WeightedBigraph,
+    max_matching,
+    term_rank,
+)
 
 
 def wide_2x3() -> PolyPattern:
@@ -84,6 +94,62 @@ def reference_reduction(g: WeightedBigraph) -> ReducedGraph:
     redundant = tuple(e for e in g.edges if (e[0], e[1]) not in matched and edge_is_redundant(g, (e[0], e[1]), rank))
     kept = [e for e in g.edges if e not in redundant]
     return ReducedGraph(graph=WeightedBigraph(g.r_count, g.c_count, kept), redundant=redundant, base_rank=rank)
+
+
+def minor_determinant(matrix: ExactMatrix, row_set, col_set) -> ExactPoly:
+    """Reference determinant of one square submatrix, rows and columns in sorted order.
+
+    Cofactor expansion along rows, memoized only on this minor's own
+    still-unused columns; the library's ``minor_gcd`` shares one memo
+    across all minors and is checked against this.
+    """
+    rows = sorted(row_set)
+    cols = sorted(col_set)
+    k = len(rows)
+    one = ExactPoly.constant(1)
+    memo: dict[int, ExactPoly] = {0: one}
+
+    def det(mask: int) -> ExactPoly:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        i = k - bin(mask).count("1")  # rows 0..i-1 already consumed
+        total = ExactPoly()
+        sign = 1
+        for j in range(k):
+            if mask >> j & 1:
+                e = matrix.entry(rows[i], cols[j])
+                if not e.is_zero:
+                    total = total + sign * (e * det(mask & ~(1 << j)))
+                sign = -sign
+        memo[mask] = total
+        return total
+
+    return det((1 << k) - 1)
+
+
+def fraction_rank(rows: list[list[int]]) -> int:
+    """Reference rank of an integer matrix over the rationals: Gauss-Jordan on Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(n_rows):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
 
 
 def random_pattern(

@@ -30,7 +30,6 @@ from structctrl import (
     instantiate,
     kalman_controllable,
     matchings_of_size,
-    minor_determinant,
     minor_gcd,
     parse_pattern,
     remove_redundant_edges,
@@ -45,6 +44,7 @@ from structctrl.oracle import ExactMatrix
 from fixture_patterns import (
     chain_ss,
     forced_block,
+    minor_determinant,
     random_pattern,
     random_statespace,
     reference_reduction,

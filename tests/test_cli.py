@@ -193,6 +193,44 @@ class TestOracle:
         assert out == self.GOLDEN[(fixture, mode, expected_code)]
 
 
+    # `oracle --json` output and exit code for every fixture, recorded before the
+    # oracle's shared-memo expansion replaced one expansion per minor.
+    GOLDEN_JSON = {
+        ("autonomous_1x1.txt", "generic"): (
+            1,
+            '{"mode": "generic", "seed_gcd_degrees": [1, 1, 1, 1, 1], "zero_set_empty": false}\n',
+        ),
+        ("ss_chain.txt", "generic"): (
+            0,
+            '{"mode": "generic", "seed_gcd_degrees": [0, 0, 0, 0, 0], "zero_set_empty": true}\n',
+        ),
+        ("ss_relay.txt", "generic"): (
+            0,
+            '{"mode": "generic", "seed_gcd_degrees": [0, 0, 0, 0, 0], "zero_set_empty": true}\n',
+        ),
+        ("ss_shared_drive.txt", "generic"): (
+            0,
+            '{"mode": "generic", "seed_gcd_degrees": [0, 0, 0, 0, 0], "zero_set_empty": true}\n',
+        ),
+        ("ss_shared_drive.txt", "statespace_strict"): (
+            1,
+            '{"mode": "statespace_strict", "seed_gcd_degrees": [1, 1, 1, 1, 1], "zero_set_empty": false}\n',
+        ),
+        ("wide_2x3.txt", "generic"): (
+            0,
+            '{"mode": "generic", "seed_gcd_degrees": [0, 0, 0, 0, 0], "zero_set_empty": true}\n',
+        ),
+    }
+
+    def test_golden_json_covers_every_fixture(self):
+        assert {f for f, _ in self.GOLDEN_JSON} == {path.name for path in FIXTURES.glob("*.txt")}
+
+    @pytest.mark.parametrize("fixture,mode", sorted(GOLDEN_JSON))
+    def test_golden_json(self, capsys, fixture, mode):
+        code, out, _ = run(capsys, "oracle", "--json", "--mode", mode, str(FIXTURES / fixture))
+        assert (code, out) == self.GOLDEN_JSON[(fixture, mode)]
+
+
 class TestGen:
     def test_canonical(self, capsys):
         code, out, _ = run(capsys, "gen", "canonical", "--n", "3")

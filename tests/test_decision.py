@@ -16,14 +16,13 @@ from structctrl import (
     generic_nonsingular,
     generic_unimodular,
     instantiate,
-    minor_determinant,
     siso_interconnection,
     term_rank,
     build_graph,
     zero_set_empty,
 )
 
-from fixture_patterns import forced_block, random_pattern, wide_2x3
+from fixture_patterns import forced_block, minor_determinant, random_pattern, wide_2x3
 
 SEEDS = (0, 1, 2, 3, 4)
 

@@ -1,9 +1,10 @@
 """Exact polynomial arithmetic, determinants, gcd, and the zero-set oracles."""
 
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structctrl import (
@@ -18,7 +19,6 @@ from structctrl import (
     gilbert_form,
     instantiate,
     kalman_controllable,
-    minor_determinant,
     minor_gcd,
     poly_exact_div,
     poly_gcd,
@@ -27,7 +27,16 @@ from structctrl import (
     zero_set_gcd_degrees,
 )
 
-from fixture_patterns import chain_ss, integrator_ss, relay_ss, shared_drive_ss
+from structctrl.oracle import _rank_exact
+
+from fixture_patterns import (
+    chain_ss,
+    fraction_rank,
+    integrator_ss,
+    minor_determinant,
+    relay_ss,
+    shared_drive_ss,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -149,15 +158,6 @@ class TestDeterminants:
         m = matrix_of([[P(0, 1), P()], [P(), P(-2, 1)]])
         assert minor_determinant(m, [0, 1], [0, 1]) == P(0, -2, 1)  # s^2 - 2s
 
-    def test_selection_errors(self):
-        m = matrix_of([[P(1), P(2)], [P(3), P(4)]])
-        with pytest.raises(ValueError, match="not square"):
-            minor_determinant(m, [0, 1], [0])
-        with pytest.raises(ValueError, match="out of range"):
-            minor_determinant(m, [0, 2], [0, 1])
-        with pytest.raises(ValueError, match="duplicates"):
-            minor_determinant(m, [0, 0], [0, 1])
-
     def test_three_routes_agree_on_random_4x4(self):
         for seed in SEEDS:
             rng = random.Random(seed)
@@ -245,6 +245,71 @@ class TestZeroSet:
         zero = ExactPoly()
         m = matrix_of([[P(1), zero], [P(1), zero]])
         assert minor_gcd(m, 2) is None
+
+
+def reference_minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:
+    """Gcd of every size-by-size minor, each expanded on its own; None if all vanish."""
+    acc = None
+    for rows in combinations(range(matrix.rows), size):
+        for cols in combinations(range(matrix.cols), size):
+            d = minor_determinant(matrix, rows, cols)
+            if not d.is_zero:
+                acc = poly_gcd(d, ExactPoly()) if acc is None else poly_gcd(acc, d)
+                if acc.degree == 0:
+                    return acc  # a constant divides every later minor too
+    return acc
+
+
+@st.composite
+def oracle_patterns(draw):
+    """Patterns up to 8x8: tall, wide and square; some have rows starved of columns,
+    which makes the term rank, and so the largest nonzero minor, smaller than min(p, v)."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    allowed = [[True] * cols for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        starved = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=rows, unique=True))
+        kept = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=len(starved) - 1, unique=True))
+        for i in starved:
+            allowed[i] = [j in kept for j in range(cols)]
+    cells = [(i, j) for i in range(rows) for j in range(cols) if allowed[i][j]]
+    chosen = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=min(len(cells), 20), unique=True))
+    return PolyPattern(rows, cols, {cell: draw(st.integers(0, 2)) for cell in chosen})
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_patterns(), st.integers(0, 2**32), st.sampled_from((1, 2, 99)))
+def test_minor_gcd_matches_per_minor_reference(pattern, seed, coeff_bound):
+    # coefficient bound 1 or 2 makes cancelling minors and shared factors likely
+    matrix = instantiate(pattern, seed, coeff_bound=coeff_bound)
+    for k in range(1, min(pattern.rows, pattern.cols) + 1):
+        assert minor_gcd(matrix, k) == reference_minor_gcd(matrix, k)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices with entries up to 30 digits, some rows planted as integer
+    combinations of others, some columns zeroed, and 0-column matrices."""
+    n_rows, n_cols = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+    entry = st.one_of(st.just(0), st.integers(-(10**30), 10**30), st.integers(-3, 3))
+    m = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    for i in range(1, n_rows):
+        if draw(st.booleans()):
+            factors = [draw(st.integers(-5, 5)) for _ in range(i)]
+            m[i] = [sum(f * m[r][j] for r, f in enumerate(factors)) for j in range(n_cols)]
+    for j in draw(st.lists(st.integers(0, max(n_cols - 1, 0)), max_size=n_cols, unique=True)):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+@example([[], [], []])  # the Kalman matrix of a system without inputs
+@example([[10**29 + 7, -(10**30)], [5, 10**28], [2 * 10**29 - 21, -2 * 10**30 - 7 * 10**28]])
+def test_rank_matches_fraction_reference(m):
+    before = [list(row) for row in m]
+    assert _rank_exact(m) == fraction_rank(m)
+    assert m == before
 
 
 class TestKalman:
