@@ -5,7 +5,7 @@ whether the system M(d/dt) w = 0 is controllable for generic parameter
 values, and cross-validates every verdict with an exact symbolic oracle.
 """
 
-from .bigraph import Matching, WeightedBigraph, build_graph, matchings_of_size, max_matching, term_rank
+from .bigraph import Matching, WeightedBigraph, build_graph, max_matching, term_rank
 from .decision import (
     CONTROLLABLE,
     UNCONTROLLABLE,
@@ -14,8 +14,6 @@ from .decision import (
     Witness,
     analyze,
     analyze_reduction,
-    criteria_equivalent,
-    forced_subset_criterion,
     generic_nonsingular,
     generic_unimodular,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "build_graph",
     "max_matching",
     "term_rank",
-    "matchings_of_size",
     "ReducedGraph",
     "Component",
     "remove_redundant_edges",
@@ -79,8 +76,6 @@ __all__ = [
     "analyze_reduction",
     "generic_nonsingular",
     "generic_unimodular",
-    "forced_subset_criterion",
-    "criteria_equivalent",
     "StateSpaceReport",
     "controllability_pencil",
     "strict_monomial_entries",

@@ -1,4 +1,4 @@
-"""Edge-weighted bipartite graphs, maximum matching, and matching enumeration.
+"""Edge-weighted bipartite graphs and maximum matching.
 
 A p-by-v pattern becomes the bipartite graph G = (R, C; E): one R-vertex per
 row, one C-vertex per column, one edge per nonzero entry, weighted by the
@@ -6,14 +6,16 @@ entry degree.  A weight of 0 is still an edge (constant entry); no edge means
 the entry is identically zero.
 
 Graph values are immutable after construction and all functions here are
-pure, so they are safe to share across threads.
+pure, so they are safe to share across threads.  Only the public
+``WeightedBigraph`` constructor checks its input; ``build_graph`` and the
+reduction pass edges that a ``PolyPattern`` or an earlier graph has already
+checked and sorted straight to the unchecked builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GuardLimitError
 from .patterns import PolyPattern
 
 __all__ = [
@@ -22,7 +24,6 @@ __all__ = [
     "build_graph",
     "max_matching",
     "term_rank",
-    "matchings_of_size",
 ]
 
 _UNMATCHED = -1
@@ -42,8 +43,6 @@ class WeightedBigraph:
     def __init__(self, r_count: int, c_count: int, edges):
         if r_count < 1 or c_count < 1:
             raise ValueError(f"vertex counts must be positive, got {r_count}, {c_count}")
-        self.r_count = r_count
-        self.c_count = c_count
         weights: dict[tuple[int, int], int] = {}
         for r, c, w in edges:
             if not (0 <= r < r_count and 0 <= c < c_count):
@@ -53,11 +52,23 @@ class WeightedBigraph:
             if (r, c) in weights:
                 raise ValueError(f"duplicate edge ({r},{c})")
             weights[(r, c)] = w
-        self._weights = weights
-        self.edges = tuple((r, c, w) for (r, c), w in sorted(weights.items()))
+        self._fill(r_count, c_count, tuple(sorted([(r, c, w) for (r, c), w in weights.items()])))
+
+    @classmethod
+    def _from_sorted(cls, r_count: int, c_count: int, edges) -> WeightedBigraph:
+        """Graph on edges that are already in range, unique and sorted; checks nothing."""
+        g = cls.__new__(cls)
+        g._fill(r_count, c_count, tuple(edges))
+        return g
+
+    def _fill(self, r_count: int, c_count: int, edges: tuple[tuple[int, int, int], ...]):
+        self.r_count = r_count
+        self.c_count = c_count
+        self.edges = edges
+        self._weights = {(r, c): w for r, c, w in edges}
         r_adj = [[] for _ in range(r_count)]
         c_adj = [[] for _ in range(c_count)]
-        for r, c, _ in self.edges:
+        for r, c, _ in edges:
             r_adj[r].append(c)
             c_adj[c].append(r)
         self.r_adj = tuple(tuple(cs) for cs in r_adj)
@@ -109,7 +120,7 @@ class Matching:
 
 def build_graph(pattern: PolyPattern) -> WeightedBigraph:
     """Graph of a pattern: one edge per entry, weight = entry degree."""
-    return WeightedBigraph(pattern.rows, pattern.cols, pattern.sorted_entries())
+    return WeightedBigraph._from_sorted(pattern.rows, pattern.cols, pattern.sorted_entries())
 
 
 def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int]]:
@@ -196,37 +207,3 @@ def term_rank(g: WeightedBigraph) -> int:
     """Size of a maximum matching: the generic rank of any matrix with this pattern."""
     size, _ = _max_matching_pairs(g)
     return size
-
-
-def matchings_of_size(g: WeightedBigraph, k: int, max_rows: int = 8) -> list[Matching]:
-    """All matchings of cardinality exactly k, in lexicographic order.
-
-    Exponential by design; intended as a small-instance test oracle, hence
-    the row-count guard.
-    """
-    if g.r_count > max_rows:
-        raise GuardLimitError(f"matching enumeration guarded at {max_rows} rows, graph has {g.r_count}")
-    if k < 0:
-        raise ValueError(f"matching size must be non-negative, got {k}")
-    results: list[tuple[tuple[int, int], ...]] = []
-    chosen: list[tuple[int, int]] = []
-    used_cols = [False] * g.c_count
-
-    def rec(row: int):
-        if len(chosen) == k:
-            results.append(tuple(chosen))
-            return
-        if row == g.r_count or len(chosen) + (g.r_count - row) < k:
-            return
-        for c in g.r_adj[row]:
-            if not used_cols[c]:
-                used_cols[c] = True
-                chosen.append((row, c))
-                rec(row + 1)
-                chosen.pop()
-                used_cols[c] = False
-        rec(row + 1)  # leave this row unmatched
-
-    rec(0)
-    results.sort()
-    return [Matching(frozenset(pairs)) for pairs in results]

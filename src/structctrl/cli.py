@@ -12,6 +12,7 @@ All report indices are printed 1-based, matching the file formats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -273,7 +274,24 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``, so a bad bound fails where it is read."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args returns a fresh Namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="structctrl",
         description="Structural controllability analysis of differential-algebraic system patterns.",
@@ -291,13 +309,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ss = sub.add_parser("statespace", parents=[common], help="verdict for a statespace file")
     p_ss.add_argument("file", help="statespace file, or - for stdin")
     p_ss.add_argument("--seeds", default="0,1,2,3,4", help="seeds for the numeric cross-checks")
-    p_ss.add_argument("--coeff-range", type=int, default=99, help="coefficient magnitude bound")
+    p_ss.add_argument("--coeff-range", type=_int_at_least(1), default=99, help="coefficient magnitude bound")
     p_ss.set_defaults(func=cmd_statespace)
 
     p_or = sub.add_parser("oracle", parents=[common], help="exact zero-set test for a pattern or statespace file")
     p_or.add_argument("file", help="pattern or statespace file, or - for stdin")
     p_or.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated instantiation seeds")
-    p_or.add_argument("--coeff-range", type=int, default=99, help="coefficient magnitude bound")
+    p_or.add_argument("--coeff-range", type=_int_at_least(1), default=99, help="coefficient magnitude bound")
     p_or.add_argument("--mode", choices=("generic", "statespace_strict"), default="generic")
     p_or.set_defaults(func=cmd_oracle)
 
@@ -309,14 +327,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--rows", type=int)
     p_gen.add_argument("--cols", type=int)
     p_gen.add_argument("--density-edges", type=int, help="exact number of entries")
-    p_gen.add_argument("--max-degree", type=int, default=2)
+    p_gen.add_argument("--max-degree", type=_int_at_least(0), default=2)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen)
 
     p_b = sub.add_parser("bench", help="timing ladder over random patterns")
     p_b.add_argument("--sizes", default="50,100,200,400", help="comma-separated row counts")
     p_b.add_argument("--edges-factor", type=int, default=3, help="edges per row")
-    p_b.add_argument("--max-degree", type=int, default=2)
+    p_b.add_argument("--max-degree", type=_int_at_least(0), default=2)
     p_b.add_argument("--seed", type=int, default=0)
     p_b.add_argument("--timeout", type=float, default=10.0, help="per-row budget in seconds")
     p_b.add_argument("--json", action="store_true")

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bigraph import WeightedBigraph, build_graph, matchings_of_size, term_rank
-from .errors import GuardLimitError, ZeroTermRankError
+from .bigraph import WeightedBigraph, build_graph, term_rank
+from .errors import ZeroTermRankError
 from .patterns import PolyPattern
 from .reduction import ReducedGraph, connected_components, remove_redundant_edges
 
@@ -30,10 +30,8 @@ __all__ = [
     "AnalysisReport",
     "generic_nonsingular",
     "generic_unimodular",
-    "forced_subset_criterion",
     "analyze",
     "analyze_reduction",
-    "criteria_equivalent",
 ]
 
 CONTROLLABLE = "structurally controllable"
@@ -95,38 +93,6 @@ def generic_unimodular(pattern: PolyPattern) -> bool:
     return all(w == 0 for _, _, w in rg.graph.edges)
 
 
-def forced_subset_criterion(pattern: PolyPattern, max_rows: int = 8) -> bool:
-    """Decide generic zero-set emptiness by exhausting row subsets.
-
-    A row subset is *forced* when every row-saturating matching sends it to
-    one and the same column set; the criterion holds iff every forced subset
-    touches only weight-zero edges in the reduced graph.  Exponential in the
-    row count (all subsets against all saturating matchings), hence guarded;
-    this is the reference oracle for the component-based verdict.
-    """
-    g = build_graph(pattern)
-    if g.r_count > max_rows:
-        raise GuardLimitError(f"subset criterion guarded at {max_rows} rows, pattern has {g.r_count}")
-    if term_rank(g) != g.r_count:
-        raise ValueError("subset criterion requires full row term rank")
-    rg = remove_redundant_edges(g)
-    # Saturating matchings of the reduced graph are exactly those of g.
-    images = [dict(m.sorted_pairs()) for m in matchings_of_size(rg.graph, g.r_count, max_rows)]
-
-    heavy_rows = {r for r, _, w in rg.graph.edges if w >= 1}
-    if not heavy_rows:
-        return True
-    rows = range(g.r_count)
-    for mask in range(1, 1 << g.r_count):
-        subset = [r for r in rows if mask >> r & 1]
-        if not any(r in heavy_rows for r in subset):
-            continue
-        first = frozenset(images[0][r] for r in subset)
-        if all(frozenset(img[r] for r in subset) == first for img in images[1:]):
-            return False  # forced subset with a weighted edge attached
-    return True
-
-
 def analyze_reduction(g: WeightedBigraph, rg: ReducedGraph) -> AnalysisReport:
     """Assemble the verdict report from a graph and its reduction."""
     comps = connected_components(rg)
@@ -163,8 +129,3 @@ def analyze(pattern: PolyPattern) -> AnalysisReport:
         raise ZeroTermRankError("pattern has no entries; no equations effectively present")
     rg = remove_redundant_edges(g)
     return analyze_reduction(g, rg)
-
-
-def criteria_equivalent(pattern: PolyPattern, max_rows: int = 8) -> bool:
-    """Cross-check: subset criterion and component verdict must always agree."""
-    return forced_subset_criterion(pattern, max_rows) == analyze(pattern).controllable

@@ -17,7 +17,9 @@ Internally all indices are 0-based.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import PatternFormatError
 
@@ -31,35 +33,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyPattern:
     """Nonzero structure of a p-by-v polynomial matrix.
 
-    ``entries`` maps 0-based (row, col) positions to entry degrees (>= 0).
+    ``entries`` is a read-only mapping from 0-based (row, col) positions to
+    entry degrees (>= 0), over a private copy of the mapping given.
     """
 
     rows: int
     cols: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    entries: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    _sorted: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"pattern dimensions must be positive, got {self.rows}x{self.cols}")
-        object.__setattr__(self, "entries", dict(self.entries))
-        for (i, j), d in self.entries.items():
+        entries = dict(self.entries)
+        for (i, j), d in entries.items():
             if not (0 <= i < self.rows and 0 <= j < self.cols):
                 raise ValueError(f"entry ({i},{j}) outside {self.rows}x{self.cols} pattern")
             if d < 0:
                 raise ValueError(f"entry ({i},{j}) has negative degree {d}")
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+        object.__setattr__(self, "_sorted", tuple(sorted([(i, j, d) for (i, j), d in entries.items()])))
 
-    def sorted_entries(self) -> list[tuple[int, int, int]]:
-        """Entries as (row, col, degree) triples in row-major order."""
-        return [(i, j, d) for (i, j), d in sorted(self.entries.items())]
+    def sorted_entries(self) -> tuple[tuple[int, int, int], ...]:
+        """Entries as (row, col, degree) triples in row-major order, sorted once at construction."""
+        return self._sorted
 
     def __eq__(self, other):
         if not isinstance(other, PolyPattern):
             return NotImplemented
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self._sorted))
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled or deep-copied; rebuild from a plain dict.
+        return PolyPattern, (self.rows, self.cols, dict(self.entries))
 
 
 @dataclass(frozen=True)
@@ -129,9 +142,12 @@ def parse_pattern(text: str) -> PolyPattern:
     for lineno, tokens in lines:
         if tokens[0] != "entry" or len(tokens) != 4:
             raise PatternFormatError("expected 'entry <i> <j> <degree>'", lineno)
-        i = _parse_int(tokens[1], "row index", lineno)
-        j = _parse_int(tokens[2], "column index", lineno)
-        d = _parse_int(tokens[3], "degree", lineno)
+        try:
+            i, j, d = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        except ValueError:  # name the first bad token, as parsing one at a time would
+            i = _parse_int(tokens[1], "row index", lineno)
+            j = _parse_int(tokens[2], "column index", lineno)
+            d = _parse_int(tokens[3], "degree", lineno)
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise PatternFormatError(f"entry ({i},{j}) out of range for {rows}x{cols} pattern", lineno)
         if d < 0:

@@ -153,8 +153,8 @@ def remove_redundant_edges(g: WeightedBigraph) -> ReducedGraph:
         else:
             removed.append((r, c, w))
 
-    # g.edges is sorted, so kept and removed already are.
-    reduced = WeightedBigraph(g.r_count, g.c_count, kept)
+    # g.edges is checked and sorted, so kept and removed already are.
+    reduced = WeightedBigraph._from_sorted(g.r_count, g.c_count, kept)
     return ReducedGraph(graph=reduced, redundant=tuple(removed), base_rank=rank)
 
 

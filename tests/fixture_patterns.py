@@ -11,11 +11,16 @@ from fractions import Fraction
 from structctrl import (
     ExactMatrix,
     ExactPoly,
+    GuardLimitError,
+    Matching,
     PolyPattern,
     ReducedGraph,
     StateSpacePattern,
     WeightedBigraph,
+    analyze,
+    build_graph,
     max_matching,
+    remove_redundant_edges,
     term_rank,
 )
 
@@ -68,6 +73,22 @@ def integrator_ss() -> StateSpacePattern:
     return StateSpacePattern(1, 1, frozenset(), frozenset({(0, 0)}))
 
 
+def same_graph(a: WeightedBigraph, b: WeightedBigraph) -> bool:
+    """Equal as values, with adjacency lists and weights that match the edges.
+
+    The adjacency lists are derived here from the edge tuple, so a fault in
+    the one builder both constructors share still shows.
+    """
+    rows = tuple(tuple(c for r, c, _ in b.edges if r == x) for x in range(b.r_count))
+    cols = tuple(tuple(r for r, c, _ in b.edges if c == y) for y in range(b.c_count))
+    return (
+        a == b
+        and a.r_adj == b.r_adj == rows
+        and a.c_adj == b.c_adj == cols
+        and all(a.weight(r, c) == w == b.weight(r, c) for r, c, w in b.edges)
+    )
+
+
 def edge_is_redundant(g: WeightedBigraph, edge: tuple[int, int], rank: int) -> bool:
     """Reference definition: True iff ``edge`` lies in no matching of cardinality ``rank``.
 
@@ -94,6 +115,77 @@ def reference_reduction(g: WeightedBigraph) -> ReducedGraph:
     redundant = tuple(e for e in g.edges if (e[0], e[1]) not in matched and edge_is_redundant(g, (e[0], e[1]), rank))
     kept = [e for e in g.edges if e not in redundant]
     return ReducedGraph(graph=WeightedBigraph(g.r_count, g.c_count, kept), redundant=redundant, base_rank=rank)
+
+
+def matchings_of_size(g: WeightedBigraph, k: int, max_rows: int = 8) -> list[Matching]:
+    """All matchings of cardinality exactly k, in lexicographic order.
+
+    Exponential by design; intended as a small-instance test oracle, hence
+    the row-count guard.
+    """
+    if g.r_count > max_rows:
+        raise GuardLimitError(f"matching enumeration guarded at {max_rows} rows, graph has {g.r_count}")
+    if k < 0:
+        raise ValueError(f"matching size must be non-negative, got {k}")
+    results: list[tuple[tuple[int, int], ...]] = []
+    chosen: list[tuple[int, int]] = []
+    used_cols = [False] * g.c_count
+
+    def rec(row: int):
+        if len(chosen) == k:
+            results.append(tuple(chosen))
+            return
+        if row == g.r_count or len(chosen) + (g.r_count - row) < k:
+            return
+        for c in g.r_adj[row]:
+            if not used_cols[c]:
+                used_cols[c] = True
+                chosen.append((row, c))
+                rec(row + 1)
+                chosen.pop()
+                used_cols[c] = False
+        rec(row + 1)  # leave this row unmatched
+
+    rec(0)
+    results.sort()
+    return [Matching(frozenset(pairs)) for pairs in results]
+
+
+def forced_subset_criterion(pattern: PolyPattern, max_rows: int = 8) -> bool:
+    """Decide generic zero-set emptiness by exhausting row subsets.
+
+    A row subset is *forced* when every row-saturating matching sends it to
+    one and the same column set; the criterion holds iff every forced subset
+    touches only weight-zero edges in the reduced graph.  Exponential in the
+    row count (all subsets against all saturating matchings), hence guarded;
+    this is the reference oracle for the component-based verdict.
+    """
+    g = build_graph(pattern)
+    if g.r_count > max_rows:
+        raise GuardLimitError(f"subset criterion guarded at {max_rows} rows, pattern has {g.r_count}")
+    if term_rank(g) != g.r_count:
+        raise ValueError("subset criterion requires full row term rank")
+    rg = remove_redundant_edges(g)
+    # Saturating matchings of the reduced graph are exactly those of g.
+    images = [dict(m.sorted_pairs()) for m in matchings_of_size(rg.graph, g.r_count, max_rows)]
+
+    heavy_rows = {r for r, _, w in rg.graph.edges if w >= 1}
+    if not heavy_rows:
+        return True
+    rows = range(g.r_count)
+    for mask in range(1, 1 << g.r_count):
+        subset = [r for r in rows if mask >> r & 1]
+        if not any(r in heavy_rows for r in subset):
+            continue
+        first = frozenset(images[0][r] for r in subset)
+        if all(frozenset(img[r] for r in subset) == first for img in images[1:]):
+            return False  # forced subset with a weighted edge attached
+    return True
+
+
+def criteria_equivalent(pattern: PolyPattern, max_rows: int = 8) -> bool:
+    """Cross-check: subset criterion and component verdict must always agree."""
+    return forced_subset_criterion(pattern, max_rows) == analyze(pattern).controllable
 
 
 def minor_determinant(matrix: ExactMatrix, row_set, col_set) -> ExactPoly:

@@ -24,12 +24,10 @@ from structctrl import (
     connected_components,
     controllability_pencil,
     controller_canonical,
-    criteria_equivalent,
     generic_nonsingular,
     generic_unimodular,
     instantiate,
     kalman_controllable,
-    matchings_of_size,
     minor_gcd,
     parse_pattern,
     remove_redundant_edges,
@@ -43,7 +41,9 @@ from structctrl.oracle import ExactMatrix
 
 from fixture_patterns import (
     chain_ss,
+    criteria_equivalent,
     forced_block,
+    matchings_of_size,
     minor_determinant,
     random_pattern,
     random_statespace,

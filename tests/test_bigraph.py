@@ -12,12 +12,12 @@ from structctrl import (
     PolyPattern,
     WeightedBigraph,
     build_graph,
-    matchings_of_size,
     max_matching,
     term_rank,
 )
 
-from fixture_patterns import wide_2x3
+from fixture_patterns import matchings_of_size, same_graph, wide_2x3
+from test_patterns import patterns
 
 
 def brute_force_max_matching(g: WeightedBigraph) -> int:
@@ -149,6 +149,12 @@ def test_max_matching_equals_enumeration_maximum(g):
     size = len(max_matching(g))
     assert matchings_of_size(g, size), "claimed maximum size is not achievable"
     assert matchings_of_size(g, size + 1) == [], "a larger matching exists"
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns())
+def test_build_graph_equals_checked_constructor(p):
+    assert same_graph(build_graph(p), WeightedBigraph(p.rows, p.cols, p.sorted_entries()))
 
 
 @settings(max_examples=200, deadline=None)

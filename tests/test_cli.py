@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from structctrl import PolyPattern, emit_pattern, parse_pattern
-from structctrl.cli import main
+from structctrl.cli import _build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -329,3 +329,52 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["statespace", "--coeff-range", "0", str(FIXTURES / "ss_chain.txt")], "--coeff-range"),
+            (["oracle", "--coeff-range", "-3", str(FIXTURES / "wide_2x3.txt")], "--coeff-range"),
+            (["gen", "random", "--rows", "3", "--cols", "3", "--density-edges", "2", "--max-degree", "-1"], "--max-degree"),
+            (["bench", "--sizes", "5", "--max-degree", "-1"], "--max-degree"),
+        ],
+    )
+    def test_bad_numeric_option_names_it(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be at least" in err
+        assert "randrange" not in err
+
+
+class TestSharedParser:
+    """main builds its parser once per process; no call may see state left by an earlier one."""
+
+    def lone(self, capsys, argv):
+        _build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["analyze", "--json", str(FIXTURES / "wide_2x3.txt")], ["analyze", str(FIXTURES / "wide_2x3.txt")]),
+            (
+                ["statespace", "--seeds", "1", "--quiet", str(FIXTURES / "ss_shared_drive.txt")],
+                ["statespace", str(FIXTURES / "ss_shared_drive.txt")],
+            ),
+        ],
+    )
+    def test_calls_match_lone_calls(self, capsys, first, second):
+        expected = [self.lone(capsys, first), self.lone(capsys, second)]
+        _build_parser.cache_clear()
+        assert [run(capsys, *first), run(capsys, *second)] == expected
+        assert _build_parser.cache_info().misses == 1
+
+    def test_bad_usage_after_good_call(self, capsys):
+        assert run(capsys, "analyze", str(FIXTURES / "wide_2x3.txt"))[0] == 0
+        for argv in (["analyze"], ["statespace", "--coeff-range", "0", str(FIXTURES / "ss_chain.txt")]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert run(capsys, "analyze", "--quiet", str(FIXTURES / "wide_2x3.txt"))[1] == "structurally controllable\n"

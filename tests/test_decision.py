@@ -11,8 +11,6 @@ from structctrl import (
     PolyPattern,
     ZeroTermRankError,
     analyze,
-    criteria_equivalent,
-    forced_subset_criterion,
     generic_nonsingular,
     generic_unimodular,
     instantiate,
@@ -22,7 +20,14 @@ from structctrl import (
     zero_set_empty,
 )
 
-from fixture_patterns import forced_block, minor_determinant, random_pattern, wide_2x3
+from fixture_patterns import (
+    criteria_equivalent,
+    forced_block,
+    forced_subset_criterion,
+    minor_determinant,
+    random_pattern,
+    wide_2x3,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 

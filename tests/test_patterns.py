@@ -1,5 +1,8 @@
 """Pattern data model and text formats."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +146,42 @@ class TestConstructors:
             StateSpacePattern(2, 1, frozenset(), frozenset({(0, 1)}))
 
 
+class TestImmutable:
+    def test_entries_read_only(self):
+        p = wide_2x3()
+        with pytest.raises(TypeError):
+            p.entries[(0, 0)] = 3
+        with pytest.raises(TypeError):
+            del p.entries[(0, 1)]
+        assert p == wide_2x3()
+
+    def test_entries_are_a_private_copy(self):
+        given = {(0, 0): 1}
+        p = PolyPattern(1, 2, given)
+        given[(0, 1)] = 0
+        assert dict(p.entries) == {(0, 0): 1}
+        assert p.sorted_entries() == ((0, 0, 1),)
+
+    def test_hash_follows_equality(self):
+        a = PolyPattern(2, 2, {(1, 0): 0, (0, 1): 2})
+        b = PolyPattern(2, 2, {(0, 1): 2, (1, 0): 0})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, PolyPattern(2, 2, {(0, 1): 1, (1, 0): 0})}) == 2
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        p = wide_2x3()
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert q == p and hash(q) == hash(p)
+            with pytest.raises(TypeError):
+                q.entries[(0, 0)] = 1
+
+    def test_sorted_entries_stored_once(self):
+        p = wide_2x3()
+        assert isinstance(p.sorted_entries(), tuple)
+        assert p.sorted_entries() is p.sorted_entries()
+        assert list(p.sorted_entries()) == sorted((i, j, d) for (i, j), d in p.entries.items())
+
+
 @st.composite
 def patterns(draw):
     rows = draw(st.integers(1, 5))
@@ -168,6 +207,16 @@ def statespaces(draw):
 @given(patterns())
 def test_pattern_round_trip(pattern):
     assert parse_pattern(emit_pattern(pattern)) == pattern
+
+
+@settings(max_examples=200)
+@given(patterns(), patterns())
+def test_pattern_hash_pickle_and_order(p, q):
+    assert p.sorted_entries() == tuple(sorted((i, j, d) for (i, j), d in p.entries.items()))
+    assert pickle.loads(pickle.dumps(p)) == p == copy.deepcopy(p)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert (p == q) == ((p.rows, p.cols, p.sorted_entries()) == (q.rows, q.cols, q.sorted_entries()))
 
 
 @settings(max_examples=200)

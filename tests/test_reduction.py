@@ -13,12 +13,19 @@ from structctrl import (
     connected_components,
     controllability_pencil,
     controller_canonical,
-    matchings_of_size,
     remove_redundant_edges,
     term_rank,
 )
 
-from fixture_patterns import edge_is_redundant, reference_reduction, shared_drive_ss, starved_rows, wide_2x3
+from fixture_patterns import (
+    edge_is_redundant,
+    matchings_of_size,
+    reference_reduction,
+    same_graph,
+    shared_drive_ss,
+    starved_rows,
+    wide_2x3,
+)
 
 
 class TestEdgeClassification:
@@ -167,6 +174,13 @@ def seeded_large_graphs(draw):
 @given(st.one_of(weighted_graphs(), seeded_large_graphs()))
 def test_reduction_matches_per_edge_reference(g):
     assert remove_redundant_edges(g) == reference_reduction(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(weighted_graphs(), seeded_large_graphs()))
+def test_reduced_graph_equals_checked_rebuild(g):
+    reduced = remove_redundant_edges(g).graph
+    assert same_graph(reduced, WeightedBigraph(g.r_count, g.c_count, list(reversed(reduced.edges))))
 
 
 @settings(max_examples=150, deadline=None)
