@@ -9,11 +9,13 @@ Graph values are immutable after construction and all functions here are
 pure, so they are safe to share across threads.  Only the public
 ``WeightedBigraph`` constructor checks its input; ``build_graph`` and the
 reduction pass edges that a ``PolyPattern`` or an earlier graph has already
-checked and sorted straight to the unchecked builder.
+checked and sorted straight to the unchecked builder.  A graph keeps no
+weight map: ``weight`` reads the sorted edge tuple by bisection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .patterns import PolyPattern
@@ -38,7 +40,7 @@ class WeightedBigraph:
     order, and every algorithm below is deterministic.
     """
 
-    __slots__ = ("r_count", "c_count", "edges", "r_adj", "c_adj", "_weights")
+    __slots__ = ("r_count", "c_count", "edges", "r_adj", "c_adj")
 
     def __init__(self, r_count: int, c_count: int, edges):
         if r_count < 1 or c_count < 1:
@@ -65,7 +67,6 @@ class WeightedBigraph:
         self.r_count = r_count
         self.c_count = c_count
         self.edges = edges
-        self._weights = {(r, c): w for r, c, w in edges}
         r_adj = [[] for _ in range(r_count)]
         c_adj = [[] for _ in range(c_count)]
         for r, c, _ in edges:
@@ -75,10 +76,14 @@ class WeightedBigraph:
         self.c_adj = tuple(tuple(rs) for rs in c_adj)
 
     def has_edge(self, r: int, c: int) -> bool:
-        return (r, c) in self._weights
+        # The range check keeps a negative row from reading r_adj from the end.
+        return 0 <= r < self.r_count and c in self.r_adj[r]
 
     def weight(self, r: int, c: int) -> int:
-        return self._weights[(r, c)]
+        i = bisect_left(self.edges, (r, c))  # (r, c) sorts just before (r, c, w)
+        if i < len(self.edges) and self.edges[i][:2] == (r, c):
+            return self.edges[i][2]
+        raise KeyError((r, c))
 
     def __eq__(self, other):
         if not isinstance(other, WeightedBigraph):
@@ -123,8 +128,8 @@ def build_graph(pattern: PolyPattern) -> WeightedBigraph:
     return WeightedBigraph._from_sorted(pattern.rows, pattern.cols, pattern.sorted_entries())
 
 
-def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int]]:
-    """Maximum matching by shortest augmenting paths: its size and the column of each row.
+def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int], list[int]]:
+    """Maximum matching by shortest augmenting paths: its size and the mate of each row and column.
 
     Deterministic: free rows are scanned in ascending order, adjacency
     lists are sorted.
@@ -194,16 +199,16 @@ def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int]]:
         for r in range(r_count):
             if pair_r[r] == _UNMATCHED and dfs(r):
                 size += 1
-    return size, pair_r
+    return size, pair_r, pair_c
 
 
 def max_matching(g: WeightedBigraph) -> Matching:
     """A maximum-cardinality matching of g (deterministic for a fixed graph)."""
-    _, pair_r = _max_matching_pairs(g)
+    _, pair_r, _ = _max_matching_pairs(g)
     return Matching(frozenset((r, c) for r, c in enumerate(pair_r) if c != _UNMATCHED))
 
 
 def term_rank(g: WeightedBigraph) -> int:
     """Size of a maximum matching: the generic rank of any matrix with this pattern."""
-    size, _ = _max_matching_pairs(g)
+    size, _, _ = _max_matching_pairs(g)
     return size

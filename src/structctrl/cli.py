@@ -243,9 +243,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     results = []
-    for p in sizes:
+    for p in args.sizes:
         pattern = _random_pattern(p, p, args.edges_factor * p, args.max_degree, args.seed * 1_000_003 + p)
         t0 = time.perf_counter()
         g, rg, reduce_s = _timed_reduction(pattern)
@@ -287,6 +286,14 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def _size_list(text: str) -> list[int]:
+    """argparse type: a non-empty comma-separated list of integers no smaller than 1."""
+    sizes = [_int_at_least(1)(tok) for tok in text.split(",") if tok.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return sizes
 
 
 @functools.cache
@@ -332,8 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_b = sub.add_parser("bench", help="timing ladder over random patterns")
-    p_b.add_argument("--sizes", default="50,100,200,400", help="comma-separated row counts")
-    p_b.add_argument("--edges-factor", type=int, default=3, help="edges per row")
+    p_b.add_argument("--sizes", type=_size_list, default="50,100,200,400", help="comma-separated row counts")
+    p_b.add_argument("--edges-factor", type=_int_at_least(1), default=3, help="edges per row")
     p_b.add_argument("--max-degree", type=_int_at_least(0), default=2)
     p_b.add_argument("--seed", type=int, default=0)
     p_b.add_argument("--timeout", type=float, default=10.0, help="per-row budget in seconds")

@@ -99,13 +99,11 @@ def analyze_reduction(g: WeightedBigraph, rg: ReducedGraph) -> AnalysisReport:
     summaries = tuple(ComponentSummary(c.r_vertices, c.c_vertices, c.max_weight()) for c in comps)
 
     witness = None
-    for idx, comp in enumerate(comps):
-        if len(comp.r_vertices) != len(comp.c_vertices):
-            continue
-        offending = sorted((r, c) for r, c, w in comp.edges if w >= 1)
-        if offending:
-            edge = offending[0]
-            witness = Witness(component=idx, edge=edge, weight=rg.graph.weight(*edge))
+    for idx, (comp, summary) in enumerate(zip(comps, summaries)):
+        if summary.max_weight >= 1 and len(comp.r_vertices) == len(comp.c_vertices):
+            # Component edges are sorted, so this is the least weighted edge.
+            r, c, w = next(e for e in comp.edges if e[2] >= 1)
+            witness = Witness(component=idx, edge=(r, c), weight=w)
             break
 
     return AnalysisReport(

@@ -55,6 +55,18 @@ class PolyPattern:
                 raise ValueError(f"entry ({i},{j}) outside {self.rows}x{self.cols} pattern")
             if d < 0:
                 raise ValueError(f"entry ({i},{j}) has negative degree {d}")
+        self._freeze(entries)
+
+    @classmethod
+    def _from_checked(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> PolyPattern:
+        """Pattern that takes over ``entries``, already in range with degrees >= 0; checks and copies nothing."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "rows", rows)
+        object.__setattr__(p, "cols", cols)
+        p._freeze(entries)
+        return p
+
+    def _freeze(self, entries: dict[tuple[int, int], int]):
         object.__setattr__(self, "entries", MappingProxyType(entries))
         object.__setattr__(self, "_sorted", tuple(sorted([(i, j, d) for (i, j), d in entries.items()])))
 
@@ -103,13 +115,15 @@ class StateSpacePattern:
                 raise ValueError(f"B entry ({i},{k}) outside {self.n}x{self.m}")
 
 
-def _content_lines(text: str):
-    """Yield (lineno, tokens) for non-blank, non-comment lines."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split()
+def _header(lines: list[str], usage: str, first: str, second: str) -> tuple[int, int, int]:
+    """Line number and two counts of the header, the first line that is neither blank nor a comment."""
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if tokens and tokens[0][0] != "#":
+            if tokens[0] != usage.split()[0] or len(tokens) != 3:
+                raise PatternFormatError(f"expected header '{usage}'", lineno)
+            return lineno, _parse_int(tokens[1], first, lineno), _parse_int(tokens[2], second, lineno)
+    raise PatternFormatError(f"empty input, expected '{usage}' header")
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -126,20 +140,16 @@ def parse_pattern(text: str) -> PolyPattern:
     wrong token counts, duplicate entries, out-of-range indices, negative
     degrees.  Errors carry the offending line number.
     """
-    lines = _content_lines(text)
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise PatternFormatError("empty input, expected 'pattern <p> <v>' header") from None
-    if tokens[0] != "pattern" or len(tokens) != 3:
-        raise PatternFormatError("expected header 'pattern <p> <v>'", lineno)
-    rows = _parse_int(tokens[1], "row count", lineno)
-    cols = _parse_int(tokens[2], "column count", lineno)
+    lines = text.splitlines()
+    header, rows, cols = _header(lines, "pattern <p> <v>", "row count", "column count")
     if rows < 1 or cols < 1:
-        raise PatternFormatError(f"dimensions must be positive, got {rows} {cols}", lineno)
+        raise PatternFormatError(f"dimensions must be positive, got {rows} {cols}", header)
 
     entries: dict[tuple[int, int], int] = {}
-    for lineno, tokens in lines:
+    for lineno, raw in enumerate(lines[header:], start=header + 1):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
         if tokens[0] != "entry" or len(tokens) != 4:
             raise PatternFormatError("expected 'entry <i> <j> <degree>'", lineno)
         try:
@@ -155,46 +165,44 @@ def parse_pattern(text: str) -> PolyPattern:
         if (i - 1, j - 1) in entries:
             raise PatternFormatError(f"duplicate entry ({i},{j})", lineno)
         entries[(i - 1, j - 1)] = d
-    return PolyPattern(rows, cols, entries)
+    return PolyPattern._from_checked(rows, cols, entries)
 
 
 def parse_statespace(text: str) -> StateSpacePattern:
     """Parse state-space text into a StateSpacePattern.  Same error policy as parse_pattern."""
-    lines = _content_lines(text)
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise PatternFormatError("empty input, expected 'statespace <n> <m>' header") from None
-    if tokens[0] != "statespace" or len(tokens) != 3:
-        raise PatternFormatError("expected header 'statespace <n> <m>'", lineno)
-    n = _parse_int(tokens[1], "state count", lineno)
-    m = _parse_int(tokens[2], "input count", lineno)
+    lines = text.splitlines()
+    header, n, m = _header(lines, "statespace <n> <m>", "state count", "input count")
     if n < 1:
-        raise PatternFormatError(f"state count must be positive, got {n}", lineno)
+        raise PatternFormatError(f"state count must be positive, got {n}", header)
     if m < 0:
-        raise PatternFormatError(f"input count must be non-negative, got {m}", lineno)
+        raise PatternFormatError(f"input count must be non-negative, got {m}", header)
 
     a_entries: set[tuple[int, int]] = set()
     b_entries: set[tuple[int, int]] = set()
-    for lineno, tokens in lines:
-        if tokens[0] == "a" and len(tokens) == 3:
+    for lineno, raw in enumerate(lines[header:], start=header + 1):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        kind = tokens[0]
+        if len(tokens) != 3 or kind not in ("a", "b"):
+            raise PatternFormatError("expected 'a <i> <j>' or 'b <i> <k>'", lineno)
+        try:
+            i, j = int(tokens[1]), int(tokens[2])
+        except ValueError:  # name the first bad token, as parsing one at a time would
             i = _parse_int(tokens[1], "row index", lineno)
-            j = _parse_int(tokens[2], "column index", lineno)
+            j = _parse_int(tokens[2], "column index" if kind == "a" else "input index", lineno)
+        if kind == "a":
             if not (1 <= i <= n and 1 <= j <= n):
                 raise PatternFormatError(f"A entry ({i},{j}) out of range for n={n}", lineno)
             if (i - 1, j - 1) in a_entries:
                 raise PatternFormatError(f"duplicate A entry ({i},{j})", lineno)
             a_entries.add((i - 1, j - 1))
-        elif tokens[0] == "b" and len(tokens) == 3:
-            i = _parse_int(tokens[1], "row index", lineno)
-            k = _parse_int(tokens[2], "input index", lineno)
-            if not (1 <= i <= n and 1 <= k <= m):
-                raise PatternFormatError(f"B entry ({i},{k}) out of range for n={n}, m={m}", lineno)
-            if (i - 1, k - 1) in b_entries:
-                raise PatternFormatError(f"duplicate B entry ({i},{k})", lineno)
-            b_entries.add((i - 1, k - 1))
         else:
-            raise PatternFormatError("expected 'a <i> <j>' or 'b <i> <k>'", lineno)
+            if not (1 <= i <= n and 1 <= j <= m):
+                raise PatternFormatError(f"B entry ({i},{j}) out of range for n={n}, m={m}", lineno)
+            if (i - 1, j - 1) in b_entries:
+                raise PatternFormatError(f"duplicate B entry ({i},{j})", lineno)
+            b_entries.add((i - 1, j - 1))
     return StateSpacePattern(n, m, frozenset(a_entries), frozenset(b_entries))
 
 

@@ -19,7 +19,8 @@ some r1-matching, and is kept, exactly when one of three things holds:
   M-alternating cycle.
 
 Each test is a linear-time graph search, so the whole classification
-costs O(V + E) on top of the matching.
+costs O(V + E) on top of the matching.  The components come from one
+O(V + E) labelling sweep over the reduced graph's adjacency lists.
 """
 
 from __future__ import annotations
@@ -134,12 +135,7 @@ def remove_redundant_edges(g: WeightedBigraph) -> ReducedGraph:
     connected component pass: O(V + E) beyond the matching.  The result
     does not depend on which maximum matching is found.
     """
-    rank, pair_r = _max_matching_pairs(g)
-    pair_c = [_UNMATCHED] * g.c_count
-    for r, c in enumerate(pair_r):
-        if c != _UNMATCHED:
-            pair_c[c] = r
-
+    rank, pair_r, pair_c = _max_matching_pairs(g)
     row_reached = _alternating_reach(g.r_adj, pair_r, pair_c)
     col_reached = _alternating_reach(g.c_adj, pair_c, pair_r)
     cycle_comp = _row_cycle_components(g, pair_c)
@@ -158,51 +154,44 @@ def remove_redundant_edges(g: WeightedBigraph) -> ReducedGraph:
     return ReducedGraph(graph=reduced, redundant=tuple(removed), base_rank=rank)
 
 
-class _DisjointSet:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller root wins so component ids are stable
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def connected_components(rg: ReducedGraph) -> list[Component]:
     """Connected components of the reduced graph, isolated vertices included.
 
     Vertices are numbered rows first, then columns; components are returned
-    ordered by their smallest vertex number.
+    ordered by their smallest vertex number.  One search from each row not
+    yet labelled numbers the components that hold a row in that order; the
+    columns left over are isolated and come last, one component each.
     """
     g = rg.graph
-    dsu = _DisjointSet(g.r_count + g.c_count)
-    for r, c, _ in g.edges:
-        dsu.union(r, g.r_count + c)
+    r_label = [-1] * g.r_count
+    c_label = [-1] * g.c_count
+    count = 0
+    for root in range(g.r_count):
+        if r_label[root] != -1:
+            continue
+        r_label[root] = count
+        stack = [root]
+        while stack:
+            for c in g.r_adj[stack.pop()]:
+                if c_label[c] == -1:
+                    c_label[c] = count
+                    for r in g.c_adj[c]:
+                        if r_label[r] == -1:
+                            r_label[r] = count
+                            stack.append(r)
+        count += 1
+    for c, label in enumerate(c_label):
+        if label == -1:
+            c_label[c] = count
+            count += 1
 
-    groups: dict[int, list[int]] = {}
-    for v in range(g.r_count + g.c_count):
-        groups.setdefault(dsu.find(v), []).append(v)
-    edges_by_root: dict[int, list[tuple[int, int, int]]] = {}
-    for e in g.edges:
-        edges_by_root.setdefault(dsu.find(e[0]), []).append(e)
-
-    components = []
-    for root in sorted(groups):
-        members = groups[root]
-        rows = tuple(v for v in members if v < g.r_count)
-        cols = tuple(v - g.r_count for v in members if v >= g.r_count)
-        components.append(Component(rows, cols, tuple(edges_by_root.get(root, ()))))
-    return components
-
-
+    rows: list[list[int]] = [[] for _ in range(count)]
+    cols: list[list[int]] = [[] for _ in range(count)]
+    edges: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
+    for r, label in enumerate(r_label):
+        rows[label].append(r)
+    for c, label in enumerate(c_label):
+        cols[label].append(c)
+    for e in g.edges:  # sorted, so each component's edges are too
+        edges[r_label[e[0]]].append(e)
+    return [Component(tuple(rs), tuple(cs), tuple(es)) for rs, cs, es in zip(rows, cols, edges)]

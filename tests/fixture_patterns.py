@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from structctrl import (
+    Component,
     ExactMatrix,
     ExactPoly,
     GuardLimitError,
@@ -17,6 +18,7 @@ from structctrl import (
     ReducedGraph,
     StateSpacePattern,
     WeightedBigraph,
+    Witness,
     analyze,
     build_graph,
     max_matching,
@@ -115,6 +117,66 @@ def reference_reduction(g: WeightedBigraph) -> ReducedGraph:
     redundant = tuple(e for e in g.edges if (e[0], e[1]) not in matched and edge_is_redundant(g, (e[0], e[1]), rank))
     kept = [e for e in g.edges if e not in redundant]
     return ReducedGraph(graph=WeightedBigraph(g.r_count, g.c_count, kept), redundant=redundant, base_rank=rank)
+
+
+class _DisjointSet:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # smaller root wins so component ids are stable
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def reference_components(rg: ReducedGraph) -> list[Component]:
+    """Connected components by union-find, ordered by smallest vertex number (rows first, then columns).
+
+    The library labels components in one graph search; this is the
+    reference it is checked against.
+    """
+    g = rg.graph
+    dsu = _DisjointSet(g.r_count + g.c_count)
+    for r, c, _ in g.edges:
+        dsu.union(r, g.r_count + c)
+
+    groups: dict[int, list[int]] = {}
+    for v in range(g.r_count + g.c_count):
+        groups.setdefault(dsu.find(v), []).append(v)
+    edges_by_root: dict[int, list[tuple[int, int, int]]] = {}
+    for e in g.edges:
+        edges_by_root.setdefault(dsu.find(e[0]), []).append(e)
+
+    components = []
+    for root in sorted(groups):
+        members = groups[root]
+        rows = tuple(v for v in members if v < g.r_count)
+        cols = tuple(v - g.r_count for v in members if v >= g.r_count)
+        components.append(Component(rows, cols, tuple(edges_by_root.get(root, ()))))
+    return components
+
+
+def reference_witness(rg: ReducedGraph, components: list[Component]) -> Witness | None:
+    """The first square component with a weighted edge, and its least weighted edge sorted by (row, col)."""
+    weights = {(r, c): w for r, c, w in rg.graph.edges}
+    for idx, comp in enumerate(components):
+        if len(comp.r_vertices) != len(comp.c_vertices):
+            continue
+        offending = sorted((r, c) for r, c, w in comp.edges if w >= 1)
+        if offending:
+            return Witness(component=idx, edge=offending[0], weight=weights[offending[0]])
+    return None
 
 
 def matchings_of_size(g: WeightedBigraph, k: int, max_rows: int = 8) -> list[Matching]:

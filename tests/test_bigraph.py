@@ -176,3 +176,20 @@ def test_term_rank_edge_monotonicity(g, rng):
         dropped = rng.choice(g.edges)
         smaller = WeightedBigraph(g.r_count, g.c_count, [e for e in g.edges if e != dropped])
         assert term_rank(smaller) <= base
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns(), st.data())
+def test_has_edge_and_weight_match_edge_dict(p, data):
+    g = build_graph(p)
+    weights = {(r, c): w for r, c, w in g.edges}
+    index = st.tuples(st.integers(-3, g.r_count + 2), st.integers(-3, g.c_count + 2))
+    # (-1, c) for each column of the last row: r_adj[-1] must not answer for a negative row.
+    probes = list(weights) + [(-1, c) for c in g.r_adj[-1]] + data.draw(st.lists(index, max_size=20))
+    for r, c in probes:
+        assert g.has_edge(r, c) == ((r, c) in weights)
+        if (r, c) in weights:
+            assert g.weight(r, c) == weights[(r, c)]
+        else:
+            with pytest.raises(KeyError):
+                g.weight(r, c)

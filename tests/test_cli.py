@@ -330,22 +330,33 @@ class TestUsage:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    BAD_OPTIONS = [
+        (["statespace", "--coeff-range", "0", str(FIXTURES / "ss_chain.txt")], "--coeff-range", "must be at least 1, got 0"),
+        (["oracle", "--coeff-range", "-3", str(FIXTURES / "wide_2x3.txt")], "--coeff-range", "must be at least 1, got -3"),
+        (
+            ["gen", "random", "--rows", "3", "--cols", "3", "--density-edges", "2", "--max-degree", "-1"],
+            "--max-degree",
+            "must be at least 0, got -1",
+        ),
+        (["bench", "--sizes", "5", "--max-degree", "-1"], "--max-degree", "must be at least 0, got -1"),
+        (["bench", "--sizes", "5,x"], "--sizes", "invalid int value: 'x'"),
+        (["bench", "--sizes", "0"], "--sizes", "must be at least 1, got 0"),
+        (["bench", "--sizes", ""], "--sizes", "expected comma-separated integers, got ''"),
+        (["bench", "--sizes", "5", "--edges-factor", "0"], "--edges-factor", "must be at least 1, got 0"),
+        (["bench", "--sizes", "5", "--edges-factor", "-1"], "--edges-factor", "must be at least 1, got -1"),
+    ]
+
+    # Ids name the argv and the option only, as they did before each case pinned its message.
     @pytest.mark.parametrize(
-        "argv, option",
-        [
-            (["statespace", "--coeff-range", "0", str(FIXTURES / "ss_chain.txt")], "--coeff-range"),
-            (["oracle", "--coeff-range", "-3", str(FIXTURES / "wide_2x3.txt")], "--coeff-range"),
-            (["gen", "random", "--rows", "3", "--cols", "3", "--density-edges", "2", "--max-degree", "-1"], "--max-degree"),
-            (["bench", "--sizes", "5", "--max-degree", "-1"], "--max-degree"),
-        ],
+        "argv, option, message", BAD_OPTIONS, ids=[f"argv{i}-{case[1]}" for i, case in enumerate(BAD_OPTIONS)]
     )
-    def test_bad_numeric_option_names_it(self, capsys, argv, option):
+    def test_bad_numeric_option_names_it(self, capsys, argv, option, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {option}: must be at least" in err
-        assert "randrange" not in err
+        assert f"argument {option}: {message}\n" in err
+        assert "randrange" not in err and "int()" not in err
 
 
 class TestSharedParser:

@@ -72,6 +72,24 @@ class TestParsePattern:
         text = "# degrees chosen by hand\n\npattern 1 2\n# the entry\nentry 1 2 3\n"
         assert parse_pattern(text) == PolyPattern(1, 2, {(0, 1): 3})
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# c\n\n  pattern 2 x\n", "line 3: expected integer column count, got 'x'"),
+            ("\n#\npattern 2\n", "line 3: expected header 'pattern <p> <v>'"),
+            ("pattern 0 -1\n", "line 1: dimensions must be positive, got 0 -1"),
+            ("pattern 2 2\n\n#entry 9 9 9\nentry 1 1 0 0\n", "line 4: expected 'entry <i> <j> <degree>'"),
+            ("pattern 2 2\nentry 1 x y\n", "line 2: expected integer column index, got 'x'"),
+            ("pattern 2 2\nentry 1 1 z\n", "line 2: expected integer degree, got 'z'"),
+            ("pattern 2 2\nentry 0 1 0\n", "line 2: entry (0,1) out of range for 2x2 pattern"),
+            (" \t\n", "empty input, expected 'pattern <p> <v>' header"),
+        ],
+    )
+    def test_error_message_and_line(self, text, message):
+        with pytest.raises(PatternFormatError) as exc:
+            parse_pattern(text)
+        assert str(exc.value) == message
+
 
 class TestParseStatespace:
     def test_three_state_example(self):
@@ -103,6 +121,39 @@ class TestParseStatespace:
     def test_bad_keyword(self):
         with pytest.raises(PatternFormatError):
             parse_statespace("statespace 2 1\nc 1 1")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty input, expected 'statespace <n> <m>' header"),
+            ("# only\n\n", "empty input, expected 'statespace <n> <m>' header"),
+            ("pattern 2 1\n", "line 1: expected header 'statespace <n> <m>'"),
+            ("\nstatespace 2 1 0\n", "line 2: expected header 'statespace <n> <m>'"),
+            ("statespace x 1\n", "line 1: expected integer state count, got 'x'"),
+            ("statespace 2 y\n", "line 1: expected integer input count, got 'y'"),
+            ("# c\nstatespace 0 1\n", "line 2: state count must be positive, got 0"),
+            ("statespace 2 -1\n", "line 1: input count must be non-negative, got -1"),
+            ("statespace 2 1\na x 1\n", "line 2: expected integer row index, got 'x'"),
+            ("statespace 2 1\na x y\n", "line 2: expected integer row index, got 'x'"),
+            ("statespace 2 1\na 1 y\n", "line 2: expected integer column index, got 'y'"),
+            ("statespace 2 1\nb x 1\n", "line 2: expected integer row index, got 'x'"),
+            ("statespace 2 1\nb 1 y\n", "line 2: expected integer input index, got 'y'"),
+            ("statespace 2 1\n# c\n\na 1 5\n", "line 4: A entry (1,5) out of range for n=2"),
+            ("statespace 2 1\na 0 1\n", "line 2: A entry (0,1) out of range for n=2"),
+            ("statespace 2 1\nb 3 1\n", "line 2: B entry (3,1) out of range for n=2, m=1"),
+            ("statespace 2 0\nb 1 1\n", "line 2: B entry (1,1) out of range for n=2, m=0"),
+            ("statespace 2 1\na 1 2\nb 1 1\na 1 2\n", "line 4: duplicate A entry (1,2)"),
+            ("statespace 2 1\nb 2 1\n\nb 2 1\n", "line 4: duplicate B entry (2,1)"),
+            ("statespace 2 1\na 1 2\nc 1 1\n", "line 3: expected 'a <i> <j>' or 'b <i> <k>'"),
+            ("statespace 2 1\na 1\n", "line 2: expected 'a <i> <j>' or 'b <i> <k>'"),
+            ("statespace 2 1\nb 1 1 1\n", "line 2: expected 'a <i> <j>' or 'b <i> <k>'"),
+            ("statespace 2 1\nA 1 1\n", "line 2: expected 'a <i> <j>' or 'b <i> <k>'"),
+        ],
+    )
+    def test_error_message_and_line(self, text, message):
+        with pytest.raises(PatternFormatError) as exc:
+            parse_statespace(text)
+        assert str(exc.value) == message
 
 
 class TestEmit:

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from structctrl import (
     PolyPattern,
     WeightedBigraph,
+    analyze_reduction,
     build_graph,
     connected_components,
     controllability_pencil,
     controller_canonical,
+    gilbert_form,
     remove_redundant_edges,
     term_rank,
 )
@@ -20,7 +22,9 @@ from structctrl import (
 from fixture_patterns import (
     edge_is_redundant,
     matchings_of_size,
+    reference_components,
     reference_reduction,
+    reference_witness,
     same_graph,
     shared_drive_ss,
     starved_rows,
@@ -191,3 +195,27 @@ def test_reduction_idempotent_and_rank_preserving(g):
     again = remove_redundant_edges(rg.graph)
     assert again.redundant == ()
     assert again.graph == rg.graph
+
+
+@st.composite
+def pencil_graphs(draw):
+    """Graphs of [sI - A  B] for controller_canonical and gilbert_form.
+
+    gilbert_form gives one square singleton component per unreachable
+    state, each with a weighted edge; controller_canonical gives one
+    component.  Isolated columns come from the other graph strategies.
+    """
+    n = draw(st.integers(2, 80))
+    ss = draw(st.sampled_from((controller_canonical, gilbert_form)))(n)
+    return build_graph(controllability_pencil(ss))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(weighted_graphs(), seeded_large_graphs(), pencil_graphs()))
+def test_components_and_witness_match_union_find_reference(g):
+    rg = remove_redundant_edges(g)
+    expected = reference_components(rg)
+    comps = connected_components(rg)
+    assert comps == expected  # order, vertex tuples and edge tuples
+    assert [c.max_weight() for c in comps] == [c.max_weight() for c in expected]
+    assert analyze_reduction(g, rg).witness == reference_witness(rg, expected)
