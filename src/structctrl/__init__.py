@@ -10,7 +10,6 @@ from .decision import (
     CONTROLLABLE,
     UNCONTROLLABLE,
     AnalysisReport,
-    ComponentSummary,
     Witness,
     analyze,
     analyze_reduction,
@@ -21,11 +20,9 @@ from .errors import GuardLimitError, PatternFormatError, ZeroTermRankError
 from .oracle import (
     ExactMatrix,
     ExactPoly,
-    det_bareiss,
     instantiate,
     kalman_controllable,
     minor_gcd,
-    poly_exact_div,
     poly_gcd,
     zero_set_empty,
     zero_set_gcd_degrees,
@@ -70,7 +67,6 @@ __all__ = [
     "CONTROLLABLE",
     "UNCONTROLLABLE",
     "AnalysisReport",
-    "ComponentSummary",
     "Witness",
     "analyze",
     "analyze_reduction",
@@ -86,9 +82,7 @@ __all__ = [
     "ExactPoly",
     "ExactMatrix",
     "poly_gcd",
-    "poly_exact_div",
     "instantiate",
-    "det_bareiss",
     "minor_gcd",
     "zero_set_empty",
     "zero_set_gcd_degrees",

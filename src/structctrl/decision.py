@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from .bigraph import WeightedBigraph, build_graph, term_rank
 from .errors import ZeroTermRankError
 from .patterns import PolyPattern
-from .reduction import ReducedGraph, connected_components, remove_redundant_edges
+from .reduction import Component, ReducedGraph, connected_components, remove_redundant_edges
 
 __all__ = [
     "CONTROLLABLE",
     "UNCONTROLLABLE",
-    "ComponentSummary",
     "Witness",
     "AnalysisReport",
     "generic_nonsingular",
@@ -36,15 +35,6 @@ __all__ = [
 
 CONTROLLABLE = "structurally controllable"
 UNCONTROLLABLE = "structurally uncontrollable"
-
-
-@dataclass(frozen=True)
-class ComponentSummary:
-    """Row/column vertex lists of one component plus its largest edge weight."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    max_weight: int
 
 
 @dataclass(frozen=True)
@@ -62,7 +52,7 @@ class AnalysisReport:
     minimal: bool
     term_rank: int
     redundant_edges: tuple[tuple[int, int], ...]
-    components: tuple[ComponentSummary, ...]
+    components: tuple[Component, ...]
     witness: Witness | None
 
     @property
@@ -86,21 +76,17 @@ def generic_unimodular(pattern: PolyPattern) -> bool:
     """
     if pattern.rows != pattern.cols:
         raise ValueError(f"unimodularity requires a square pattern, got {pattern.rows}x{pattern.cols}")
-    g = build_graph(pattern)
-    if term_rank(g) != pattern.rows:
-        return False
-    rg = remove_redundant_edges(g)
-    return all(w == 0 for _, _, w in rg.graph.edges)
+    rg = remove_redundant_edges(build_graph(pattern))
+    return rg.base_rank == pattern.rows and all(w == 0 for _, _, w in rg.graph.edges)
 
 
 def analyze_reduction(g: WeightedBigraph, rg: ReducedGraph) -> AnalysisReport:
     """Assemble the verdict report from a graph and its reduction."""
-    comps = connected_components(rg)
-    summaries = tuple(ComponentSummary(c.r_vertices, c.c_vertices, c.max_weight()) for c in comps)
+    comps = tuple(connected_components(rg))
 
     witness = None
-    for idx, (comp, summary) in enumerate(zip(comps, summaries)):
-        if summary.max_weight >= 1 and len(comp.r_vertices) == len(comp.c_vertices):
+    for idx, comp in enumerate(comps):
+        if comp.max_weight >= 1 and len(comp.rows) == len(comp.cols):
             # Component edges are sorted, so this is the least weighted edge.
             r, c, w = next(e for e in comp.edges if e[2] >= 1)
             witness = Witness(component=idx, edge=(r, c), weight=w)
@@ -111,7 +97,7 @@ def analyze_reduction(g: WeightedBigraph, rg: ReducedGraph) -> AnalysisReport:
         minimal=rg.base_rank == g.r_count,
         term_rank=rg.base_rank,
         redundant_edges=tuple((r, c) for r, c, _ in rg.redundant),
-        components=summaries,
+        components=comps,
         witness=witness,
     )
 

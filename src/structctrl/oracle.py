@@ -11,14 +11,19 @@ surely avoids any fixed degeneracy variety, so one constant-gcd witness
 settles "generically empty"; a claim of "generically nonempty" is accepted
 only when every seed fails.
 
-Everything is arbitrary-precision integer/rational arithmetic; no floats.
+Everything is arbitrary-precision integer arithmetic: the polynomial gcd
+uses primitive pseudo-remainders and the Kalman rank fraction-free
+elimination, so no rational or float appears.  Both checks are exhaustive
+and guarded: the zero-set test at min(p, v) <= ZERO_SET_MAX_DIM, the
+Kalman test at n <= KALMAN_MAX_STATES; past a guard they raise
+GuardLimitError.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .bigraph import build_graph, term_rank
@@ -29,9 +34,7 @@ __all__ = [
     "ExactPoly",
     "ExactMatrix",
     "poly_gcd",
-    "poly_exact_div",
     "instantiate",
-    "det_bareiss",
     "minor_gcd",
     "zero_set_empty",
     "zero_set_gcd_degrees",
@@ -40,6 +43,8 @@ __all__ = [
 
 MODES = ("generic", "statespace_strict")
 DEFAULT_COEFF_BOUND = 99
+ZERO_SET_MAX_DIM = 6
+KALMAN_MAX_STATES = 12
 
 
 class ExactPoly:
@@ -209,35 +214,6 @@ def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     return _sign_normalized(f)
 
 
-def poly_exact_div(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Quotient a / b when b divides a exactly in integer polynomials; raises otherwise."""
-    if b.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return ExactPoly()
-    if a.degree < b.degree:
-        raise ValueError("not exactly divisible")
-    rem = [Fraction(c) for c in a.coeffs]
-    quot = [Fraction(0)] * (a.degree - b.degree + 1)
-    blead = Fraction(b.lead)
-    top = len(rem) - 1
-    while top >= b.degree:
-        while top >= 0 and rem[top] == 0:
-            top -= 1
-        if top < b.degree:
-            break
-        shift = top - b.degree
-        q = rem[top] / blead
-        quot[shift] = q
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= q * c
-    if any(c != 0 for c in rem):
-        raise ValueError("not exactly divisible")
-    if any(q.denominator != 1 for q in quot):
-        raise ValueError("quotient is not an integer polynomial")
-    return ExactPoly(int(q) for q in quot)
-
-
 @dataclass(frozen=True)
 class ExactMatrix:
     """Dense matrix of exact polynomials."""
@@ -285,41 +261,6 @@ def instantiate(
         else:
             grid[i][j] = ExactPoly(_nonzero_int(rng, coeff_bound) for _ in range(d + 1))
     return ExactMatrix(pattern.rows, pattern.cols, tuple(tuple(row) for row in grid))
-
-
-def det_bareiss(matrix: ExactMatrix, row_set=None, col_set=None) -> ExactPoly:
-    """Determinant by fraction-free elimination; independent of the Laplace expansion in minor_gcd.
-
-    Every division is exact in integer polynomials (the entries after each
-    elimination step are themselves minors of the original matrix).
-    """
-    rows = sorted(row_set) if row_set is not None else list(range(matrix.rows))
-    cols = sorted(col_set) if col_set is not None else list(range(matrix.cols))
-    if len(rows) != len(cols):
-        raise ValueError(f"selection is not square: {len(rows)} rows, {len(cols)} columns")
-    n = len(rows)
-    one = ExactPoly.constant(1)
-    if n == 0:
-        return one
-    grid = [[matrix.entry(r, c) for c in cols] for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if grid[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not grid[i][k].is_zero:
-                    grid[k], grid[i] = grid[i], grid[k]
-                    sign = -sign
-                    break
-            else:
-                return ExactPoly()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = grid[k][k] * grid[i][j] - grid[i][k] * grid[k][j]
-                grid[i][j] = poly_exact_div(num, prev) if num else ExactPoly()
-            grid[i][k] = ExactPoly()
-        prev = grid[k][k]
-    return sign * grid[n - 1][n - 1]
 
 
 def _laplace(grid, memo: dict[int, ExactPoly], rows: int, cols: int, shift: int) -> ExactPoly:
@@ -379,17 +320,20 @@ def minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:
     return acc
 
 
-def _check_zero_set_args(pattern: PolyPattern, mode: str, max_dim: int) -> int:
+def _seed_gcd_degrees(pattern: PolyPattern, seeds, mode, coeff_bound, strict_monomials) -> Iterator[int]:
+    """Check the arguments, then lazily yield each seed's maximal-minor gcd degree (-1: every minor vanishes)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     rank = term_rank(build_graph(pattern))
     if rank == 0:
         raise ValueError("pattern has term rank 0; zero-set test undefined")
-    if min(pattern.rows, pattern.cols) > max_dim:
+    if min(pattern.rows, pattern.cols) > ZERO_SET_MAX_DIM:
         raise GuardLimitError(
-            f"minor enumeration guarded at dimension {max_dim}, pattern is {pattern.rows}x{pattern.cols}"
+            f"minor enumeration guarded at dimension {ZERO_SET_MAX_DIM}, pattern is {pattern.rows}x{pattern.cols}"
         )
-    return rank
+    for seed in seeds:
+        g = minor_gcd(instantiate(pattern, seed, mode, coeff_bound, strict_monomials), rank)
+        yield -1 if g is None else g.degree
 
 
 def zero_set_empty(
@@ -398,22 +342,16 @@ def zero_set_empty(
     mode: str = "generic",
     coeff_bound: int = DEFAULT_COEFF_BOUND,
     strict_monomials: frozenset[tuple[int, int]] = frozenset(),
-    max_dim: int = 6,
 ) -> bool:
     """True iff some seed instantiates the pattern with a constant maximal-minor gcd.
 
     A constant gcd at one integer point certifies the generic answer: a
     pattern whose minors generically share a root cannot produce a constant
     gcd anywhere.  All seeds failing (each gcd nonconstant, or all minors
-    vanishing) reports a generically nonempty zero set.
+    vanishing) reports a generically nonempty zero set.  Stops at the first
+    certifying seed.
     """
-    rank = _check_zero_set_args(pattern, mode, max_dim)
-    for seed in seeds:
-        matrix = instantiate(pattern, seed, mode, coeff_bound, strict_monomials)
-        g = minor_gcd(matrix, rank)
-        if g is not None and g.degree == 0:
-            return True
-    return False
+    return 0 in _seed_gcd_degrees(pattern, seeds, mode, coeff_bound, strict_monomials)
 
 
 def zero_set_gcd_degrees(
@@ -422,16 +360,9 @@ def zero_set_gcd_degrees(
     mode: str = "generic",
     coeff_bound: int = DEFAULT_COEFF_BOUND,
     strict_monomials: frozenset[tuple[int, int]] = frozenset(),
-    max_dim: int = 6,
 ) -> list[int]:
     """Per-seed gcd degree of all maximal minors; -1 when every minor vanishes."""
-    rank = _check_zero_set_args(pattern, mode, max_dim)
-    out = []
-    for seed in seeds:
-        matrix = instantiate(pattern, seed, mode, coeff_bound, strict_monomials)
-        g = minor_gcd(matrix, rank)
-        out.append(-1 if g is None else g.degree)
-    return out
+    return list(_seed_gcd_degrees(pattern, seeds, mode, coeff_bound, strict_monomials))
 
 
 def _rank_exact(rows: list[list[int]]) -> int:
@@ -464,7 +395,6 @@ def kalman_controllable(
     ss: StateSpacePattern,
     seeds,
     coeff_bound: int = DEFAULT_COEFF_BOUND,
-    max_states: int = 12,
 ) -> bool:
     """Classical cross-check: rank of [B, AB, ..., A^(n-1) B] over Q by fraction-free elimination.
 
@@ -472,8 +402,8 @@ def kalman_controllable(
     zeros elsewhere; full rank n at any seed certifies structural
     controllability of the first-order system.
     """
-    if ss.n > max_states:
-        raise GuardLimitError(f"controllability-matrix test guarded at {max_states} states, got {ss.n}")
+    if ss.n > KALMAN_MAX_STATES:
+        raise GuardLimitError(f"controllability-matrix test guarded at {KALMAN_MAX_STATES} states, got {ss.n}")
     for seed in seeds:
         rng = random.Random(seed)
         a = [[0] * ss.n for _ in range(ss.n)]

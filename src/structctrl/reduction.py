@@ -53,14 +53,12 @@ class ReducedGraph:
 
 @dataclass(frozen=True)
 class Component:
-    """A maximal connected subgraph: sorted vertex lists plus its edges."""
+    """A maximal connected subgraph: sorted row and column vertices, its edges and their largest weight."""
 
-    r_vertices: tuple[int, ...]
-    c_vertices: tuple[int, ...]
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
-
-    def max_weight(self) -> int:
-        return max((w for _, _, w in self.edges), default=0)
+    max_weight: int
 
 
 def _alternating_reach(adj, mate: list[int], other_mate: list[int]) -> list[bool]:
@@ -194,4 +192,7 @@ def connected_components(rg: ReducedGraph) -> list[Component]:
         cols[label].append(c)
     for e in g.edges:  # sorted, so each component's edges are too
         edges[r_label[e[0]]].append(e)
-    return [Component(tuple(rs), tuple(cs), tuple(es)) for rs, cs, es in zip(rows, cols, edges)]
+    return [
+        Component(tuple(rs), tuple(cs), tuple(es), max((e[2] for e in es), default=0))
+        for rs, cs, es in zip(rows, cols, edges)
+    ]

@@ -47,14 +47,14 @@ class StateSpaceReport:
 
 
 def controllability_pencil(ss: StateSpacePattern) -> PolyPattern:
-    """The n-by-(n+m) pattern of [sI - A  B]."""
+    """The n-by-(n+m) pattern of [sI - A  B], built unchecked: every position comes from the checked ``ss``."""
     entries: dict[tuple[int, int], int] = {(i, i): 1 for i in range(ss.n)}
     for i, j in ss.a_entries:
         if i != j:  # diagonal A entries fold into the degree-1 derivative term
             entries[(i, j)] = 0
     for i, k in ss.b_entries:
         entries[(i, ss.n + k)] = 0
-    return PolyPattern(ss.n, ss.n + ss.m, entries)
+    return PolyPattern._from_checked(ss.n, ss.n + ss.m, entries)
 
 
 def strict_monomial_entries(ss: StateSpacePattern) -> frozenset[tuple[int, int]]:

@@ -163,7 +163,8 @@ def reference_components(rg: ReducedGraph) -> list[Component]:
         members = groups[root]
         rows = tuple(v for v in members if v < g.r_count)
         cols = tuple(v - g.r_count for v in members if v >= g.r_count)
-        components.append(Component(rows, cols, tuple(edges_by_root.get(root, ()))))
+        edges = tuple(edges_by_root.get(root, ()))
+        components.append(Component(rows, cols, edges, max((w for _, _, w in edges), default=0)))
     return components
 
 
@@ -171,7 +172,7 @@ def reference_witness(rg: ReducedGraph, components: list[Component]) -> Witness 
     """The first square component with a weighted edge, and its least weighted edge sorted by (row, col)."""
     weights = {(r, c): w for r, c, w in rg.graph.edges}
     for idx, comp in enumerate(components):
-        if len(comp.r_vertices) != len(comp.c_vertices):
+        if len(comp.rows) != len(comp.cols):
             continue
         offending = sorted((r, c) for r, c, w in comp.edges if w >= 1)
         if offending:
@@ -280,6 +281,70 @@ def minor_determinant(matrix: ExactMatrix, row_set, col_set) -> ExactPoly:
         return total
 
     return det((1 << k) - 1)
+
+
+def poly_exact_div(a: ExactPoly, b: ExactPoly) -> ExactPoly:
+    """Quotient a / b when b divides a exactly in integer polynomials; raises otherwise."""
+    if b.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero:
+        return ExactPoly()
+    if a.degree < b.degree:
+        raise ValueError("not exactly divisible")
+    rem = [Fraction(c) for c in a.coeffs]
+    quot = [Fraction(0)] * (a.degree - b.degree + 1)
+    blead = Fraction(b.lead)
+    top = len(rem) - 1
+    while top >= b.degree:
+        while top >= 0 and rem[top] == 0:
+            top -= 1
+        if top < b.degree:
+            break
+        shift = top - b.degree
+        q = rem[top] / blead
+        quot[shift] = q
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] -= q * c
+    if any(c != 0 for c in rem):
+        raise ValueError("not exactly divisible")
+    if any(q.denominator != 1 for q in quot):
+        raise ValueError("quotient is not an integer polynomial")
+    return ExactPoly(int(q) for q in quot)
+
+
+def det_bareiss(matrix: ExactMatrix, row_set=None, col_set=None) -> ExactPoly:
+    """Determinant by fraction-free elimination; independent of the Laplace expansion in minor_gcd.
+
+    Every division is exact in integer polynomials (the entries after each
+    elimination step are themselves minors of the original matrix).
+    """
+    rows = sorted(row_set) if row_set is not None else list(range(matrix.rows))
+    cols = sorted(col_set) if col_set is not None else list(range(matrix.cols))
+    if len(rows) != len(cols):
+        raise ValueError(f"selection is not square: {len(rows)} rows, {len(cols)} columns")
+    n = len(rows)
+    one = ExactPoly.constant(1)
+    if n == 0:
+        return one
+    grid = [[matrix.entry(r, c) for c in cols] for r in rows]
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if grid[k][k].is_zero:
+            for i in range(k + 1, n):
+                if not grid[i][k].is_zero:
+                    grid[k], grid[i] = grid[i], grid[k]
+                    sign = -sign
+                    break
+            else:
+                return ExactPoly()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = grid[k][k] * grid[i][j] - grid[i][k] * grid[k][j]
+                grid[i][j] = poly_exact_div(num, prev) if num else ExactPoly()
+            grid[i][k] = ExactPoly()
+        prev = grid[k][k]
+    return sign * grid[n - 1][n - 1]
 
 
 def fraction_rank(rows: list[list[int]]) -> int:

@@ -142,8 +142,8 @@ def test_a06_connectivity_criterion_equivalence():
         for i in range(ss.n):
             assert rg.graph.has_edge(i, i)
         for comp in connected_components(rg):
-            inputs = sum(1 for c in comp.c_vertices if c >= ss.n)
-            assert len(comp.c_vertices) - len(comp.r_vertices) == inputs
+            inputs = sum(1 for c in comp.cols if c >= ss.n)
+            assert len(comp.cols) - len(comp.rows) == inputs
     _line(6, True, "300 systems: connectivity == verdict, derivative edges kept, column surplus == inputs")
 
 

@@ -312,6 +312,14 @@ class TestBench:
         _, out, _ = run(capsys, "bench", "--sizes", "6", "--edges-factor", "4")
         assert out.splitlines()[1].split("\t")[2] == "24"
 
+    def test_edges_factor_above_smallest_size(self, capsys):
+        # rejected before any row runs, so no partial table is printed
+        code, out, err = run(capsys, "bench", "--sizes", "4,2", "--edges-factor", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: --edges-factor 3 exceeds the smallest --sizes entry 2\n"
+        code, out, _ = run(capsys, "bench", "--sizes", "4,2", "--edges-factor", "2")
+        assert code == 0 and out.splitlines()[2].split("\t")[2] == "4"  # a full 2x2 pattern
+
     def test_json(self, capsys):
         _, out, _ = run(capsys, "bench", "--sizes", "5", "--json")
         rows = json.loads(out)

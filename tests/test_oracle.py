@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,25 +16,27 @@ from structctrl import (
     StateSpacePattern,
     controllability_pencil,
     controller_canonical,
-    det_bareiss,
     gilbert_form,
     instantiate,
     kalman_controllable,
     minor_gcd,
-    poly_exact_div,
     poly_gcd,
     strict_monomial_entries,
     zero_set_empty,
     zero_set_gcd_degrees,
 )
 
+from structctrl import oracle
 from structctrl.oracle import _rank_exact
 
 from fixture_patterns import (
     chain_ss,
+    det_bareiss,
     fraction_rank,
     integrator_ss,
     minor_determinant,
+    poly_exact_div,
+    random_pattern,
     relay_ss,
     shared_drive_ss,
 )
@@ -237,14 +240,32 @@ class TestZeroSet:
         with pytest.raises(ValueError, match="term rank 0"):
             zero_set_empty(PolyPattern(2, 2, {}), SEEDS)
         big = PolyPattern(7, 7, {(i, i): 0 for i in range(7)})
-        with pytest.raises(GuardLimitError):
+        with pytest.raises(GuardLimitError, match="guarded at dimension 6, pattern is 7x7"):
             zero_set_empty(big, SEEDS)
-        assert zero_set_empty(big, (0,), max_dim=7) is True
+        at_guard = PolyPattern(6, 6, {(i, i): 0 for i in range(6)})
+        assert zero_set_empty(at_guard, (0,)) is True
 
     def test_minor_gcd_none_when_rank_collapses(self):
         zero = ExactPoly()
         m = matrix_of([[P(1), zero], [P(1), zero]])
         assert minor_gcd(m, 2) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 2**32), min_size=1, max_size=4))
+def test_zero_set_empty_stops_at_first_certifying_seed(pattern_seed, seeds):
+    pattern = random_pattern(random.Random(pattern_seed), max_rows=6, max_cols=6, max_edges=18)
+    degrees = zero_set_gcd_degrees(pattern, seeds)
+    tried = []
+
+    def counting_instantiate(p, seed, *args):
+        tried.append(seed)
+        return instantiate(p, seed, *args)
+
+    with patch.object(oracle, "instantiate", counting_instantiate):
+        empty = zero_set_empty(pattern, seeds)
+    assert empty == (0 in degrees)
+    assert tried == seeds[: degrees.index(0) + 1 if empty else len(seeds)]
 
 
 def reference_minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:

@@ -101,31 +101,31 @@ class TestComponents:
     def test_block_diagonal(self):
         rg = remove_redundant_edges(build_graph(PolyPattern(2, 2, {(0, 0): 0, (1, 1): 0})))
         comps = connected_components(rg)
-        assert [(c.r_vertices, c.c_vertices) for c in comps] == [((0,), (0,)), ((1,), (1,))]
+        assert [(c.rows, c.cols) for c in comps] == [((0,), (0,)), ((1,), (1,))]
 
     def test_wide_2x3_single_component(self):
         rg = remove_redundant_edges(build_graph(wide_2x3()))
         comps = connected_components(rg)
         assert len(comps) == 1
-        assert comps[0].r_vertices == (0, 1)
-        assert comps[0].c_vertices == (0, 1, 2)
+        assert comps[0].rows == (0, 1)
+        assert comps[0].cols == (0, 1, 2)
 
     def test_zero_column_is_singleton(self):
         rg = remove_redundant_edges(build_graph(PolyPattern(2, 3, {(0, 0): 0, (1, 1): 0})))
         comps = connected_components(rg)
-        assert ((), (2,)) in [(c.r_vertices, c.c_vertices) for c in comps]
+        assert ((), (2,)) in [(c.rows, c.cols) for c in comps]
 
     def test_vertices_partitioned(self):
         rg = remove_redundant_edges(build_graph(starved_rows()))
         comps = connected_components(rg)
-        rows = sorted(r for c in comps for r in c.r_vertices)
-        cols = sorted(col for c in comps for col in c.c_vertices)
+        rows = sorted(r for c in comps for r in c.rows)
+        cols = sorted(col for c in comps for col in c.cols)
         assert rows == [0, 1]
         assert cols == [0, 1, 2]
 
     def test_max_weight(self):
         rg = remove_redundant_edges(build_graph(wide_2x3()))
-        assert connected_components(rg)[0].max_weight() == 2
+        assert connected_components(rg)[0].max_weight == 2
 
 
 @st.composite
@@ -217,5 +217,5 @@ def test_components_and_witness_match_union_find_reference(g):
     expected = reference_components(rg)
     comps = connected_components(rg)
     assert comps == expected  # order, vertex tuples and edge tuples
-    assert [c.max_weight() for c in comps] == [c.max_weight() for c in expected]
+    assert [c.max_weight for c in comps] == [c.max_weight for c in expected]
     assert analyze_reduction(g, rg).witness == reference_witness(rg, expected)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structctrl import (
     CONTROLLABLE,
@@ -51,6 +53,38 @@ class TestPencil:
     def test_no_inputs(self):
         ss = StateSpacePattern(2, 0, frozenset({(0, 1)}), frozenset())
         assert controllability_pencil(ss).cols == 2
+
+
+@st.composite
+def statespace_systems(draw):
+    """Systems from random_statespace and from the controller_canonical and gilbert_form families."""
+    kind = draw(st.sampled_from(("random", "canonical", "gilbert")))
+    if kind == "random":
+        return random_statespace(random.Random(draw(st.integers(0, 2**32))), max_n=8, max_m=3)
+    n = draw(st.integers(2, 60))
+    return controller_canonical(n) if kind == "canonical" else gilbert_form(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(statespace_systems())
+def test_pencil_equals_checked_constructor(ss):
+    """The pencil, built without checks, is the value the checking constructor builds from its positions."""
+    entries = {}
+    for i in range(ss.n):
+        for j in range(ss.n):
+            if i == j:
+                entries[(i, j)] = 1
+            elif (i, j) in ss.a_entries:
+                entries[(i, j)] = 0
+        for k in range(ss.m):
+            if (i, k) in ss.b_entries:
+                entries[(i, ss.n + k)] = 0
+    expected = PolyPattern(ss.n, ss.n + ss.m, entries)
+    pencil = controllability_pencil(ss)
+    assert pencil == expected and hash(pencil) == hash(expected)
+    assert pencil.sorted_entries() == expected.sorted_entries()
+    with pytest.raises(TypeError):
+        pencil.entries[(0, 0)] = 5
 
 
 class TestAnalyzeStatespace:
@@ -182,5 +216,5 @@ class TestStructuralProperties:
             ss = random_statespace(rng)
             rg = remove_redundant_edges(build_graph(controllability_pencil(ss)))
             for comp in connected_components(rg):
-                inputs = sum(1 for c in comp.c_vertices if c >= ss.n)
-                assert len(comp.c_vertices) - len(comp.r_vertices) == inputs
+                inputs = sum(1 for c in comp.cols if c >= ss.n)
+                assert len(comp.cols) - len(comp.rows) == inputs
