@@ -10,7 +10,9 @@ pure, so they are safe to share across threads.  Only the public
 ``WeightedBigraph`` constructor checks its input; ``build_graph`` and the
 reduction pass edges that a ``PolyPattern`` or an earlier graph has already
 checked and sorted straight to the unchecked builder.  A graph keeps no
-weight map: ``weight`` reads the sorted edge tuple by bisection.
+weight map: ``weight`` reads the sorted edge tuple by bisection.  One
+maximum-matching search, Pothen and Fan's depth-first augmenting search with
+lookahead, serves ``max_matching``, ``term_rank`` and the reduction.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
 ]
 
 _UNMATCHED = -1
-_INF = float("inf")
 
 
 class WeightedBigraph:
@@ -129,77 +130,59 @@ def build_graph(pattern: PolyPattern) -> WeightedBigraph:
 
 
 def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int], list[int]]:
-    """Maximum matching by shortest augmenting paths: its size and the mate of each row and column.
+    """Maximum matching: its size and the mate of each row and column.
 
-    Deterministic: free rows are scanned in ascending order, adjacency
-    lists are sorted.
+    Depth-first augmenting search with lookahead and fairness (Pothen and Fan
+    1990; Duff, Kaya and Ucar 2011).  A phase tries the free rows in ascending
+    order and enters each column at most once.  A row first takes a free
+    column at or after its lookahead pointer, which only moves forward since a
+    matched column never becomes free; failing that, the search descends
+    through its matched columns, ascending in one phase and descending in the
+    next.  Phases repeat while some row augments, so the last finds no
+    augmenting path and the matching is maximum (Berge).  Deterministic;
+    O(V * E) in the worst case, against O(E * sqrt(V)) for Hopcroft-Karp.
+    Iterative, so long augmenting paths cannot exhaust the stack.
     """
     adj = g.r_adj
-    r_count = g.r_count
-    pair_r = [_UNMATCHED] * r_count
+    pair_r = [_UNMATCHED] * g.r_count
     pair_c = [_UNMATCHED] * g.c_count
-    size = 0
-    dist = [0.0] * r_count
-
-    def bfs() -> bool:
-        queue = []
-        for r in range(r_count):
-            if pair_r[r] == _UNMATCHED:
-                dist[r] = 0.0
-                queue.append(r)
-            else:
-                dist[r] = _INF
-        found = _INF
-        head = 0
-        while head < len(queue):
-            r = queue[head]
-            head += 1
-            if dist[r] >= found:
+    look = [0] * g.r_count
+    order = iter
+    augmented = True
+    while augmented:
+        augmented = False
+        seen = [False] * g.c_count
+        for root in range(g.r_count):
+            if pair_r[root] != _UNMATCHED:
                 continue
-            for c in adj[r]:
-                r2 = pair_c[c]
-                if r2 == _UNMATCHED:
-                    found = dist[r] + 1
-                elif dist[r2] == _INF:
-                    dist[r2] = dist[r] + 1
-                    queue.append(r2)
-        return found != _INF
-
-    def dfs(root: int) -> bool:
-        # Iterative so benchmark-sized graphs cannot exhaust the stack.
-        frames = [(root, iter(adj[root]))]
-        chosen: list[int] = []  # chosen[d]: column frame d used to reach frame d+1
-        while frames:
-            r, it = frames[-1]
-            descended = False
-            for c in it:
-                r2 = pair_c[c]
-                if r2 == _UNMATCHED:
-                    pair_r[r] = c
-                    pair_c[c] = r
-                    for d in range(len(frames) - 2, -1, -1):
-                        rr = frames[d][0]
-                        cc = chosen[d]
-                        pair_r[rr] = cc
-                        pair_c[cc] = rr
-                    return True
-                if dist[r2] == dist[r] + 1:
-                    frames.append((r2, iter(adj[r2])))
-                    chosen.append(c)
-                    descended = True
+            frames = []  # (row, column scan) for each row on the path from root
+            r = root
+            while r != _UNMATCHED:
+                row = adj[r]
+                k = look[r]
+                while k < len(row) and pair_c[row[k]] != _UNMATCHED:
+                    k += 1
+                look[r] = k
+                if k < len(row):  # free column: flip the path back to root
+                    c = row[k]
+                    for r in [r] + [f[0] for f in reversed(frames)]:
+                        pair_c[c] = r
+                        pair_r[r], c = c, pair_r[r]
+                    augmented = True
                     break
-            if not descended:
-                dist[r] = _INF
-                frames.pop()
-                if chosen:
-                    chosen.pop()
-        return False
-
-    while bfs():
-        for r in range(r_count):
-            if pair_r[r] == _UNMATCHED and dfs(r):
-                size += 1
-    return size, pair_r, pair_c
+                # Every column of r is matched: descend through one not yet seen, or backtrack.
+                frames.append((r, order(row)))
+                r = _UNMATCHED
+                while frames and r == _UNMATCHED:
+                    for c in frames[-1][1]:
+                        if not seen[c]:
+                            seen[c] = True
+                            r = pair_c[c]
+                            break
+                    else:
+                        frames.pop()
+        order = reversed if order is iter else iter
+    return g.r_count - pair_r.count(_UNMATCHED), pair_r, pair_c
 
 
 def max_matching(g: WeightedBigraph) -> Matching:

@@ -40,7 +40,7 @@ from .statespace import (
     strict_monomial_entries,
 )
 
-DEFAULT_SEEDS = (0, 1, 2, 3, 4)
+DEFAULT_SEEDS = "0,1,2,3,4"
 
 
 @dataclass
@@ -134,10 +134,8 @@ def cmd_statespace(args) -> int:
         cross = {"kalman_rank_full": kalman_controllable(ss, seeds, args.coeff_range)}
         if ss.n <= ZERO_SET_MAX_DIM:
             pencil = controllability_pencil(ss)
-            cross["zero_set_empty_generic"] = zero_set_empty(pencil, seeds, "generic", args.coeff_range)
-            cross["zero_set_empty_strict"] = zero_set_empty(
-                pencil, seeds, "statespace_strict", args.coeff_range, strict_monomial_entries(ss)
-            )
+            cross["zero_set_empty_generic"] = zero_set_empty(pencil, seeds, args.coeff_range)
+            cross["zero_set_empty_strict"] = zero_set_empty(pencil, seeds, args.coeff_range, strict_monomial_entries(ss))
         if cross["kalman_rank_full"] == rep.controllable:
             cross = None  # checks agree; nothing to flag
 
@@ -175,13 +173,14 @@ def cmd_oracle(args) -> int:
     if first.startswith("statespace"):
         ss = parse_statespace(text)
         pattern = controllability_pencil(ss)
-        strict_entries = strict_monomial_entries(ss)
+        if args.mode == "statespace_strict":
+            strict_entries = strict_monomial_entries(ss)
     else:
         pattern = parse_pattern(text)
         if args.mode == "statespace_strict":
             raise ValueError("mode statespace_strict requires a statespace file")
     seeds = _parse_seeds(args.seeds)
-    degrees = zero_set_gcd_degrees(pattern, seeds, args.mode, args.coeff_range, strict_entries)
+    degrees = zero_set_gcd_degrees(pattern, seeds, args.coeff_range, strict_entries)
     empty = any(d == 0 for d in degrees)
     if args.json:
         print(json.dumps({"mode": args.mode, "seed_gcd_degrees": degrees, "zero_set_empty": empty}))
@@ -306,13 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ss = sub.add_parser("statespace", parents=[common], help="verdict for a statespace file")
     p_ss.add_argument("file", help="statespace file, or - for stdin")
-    p_ss.add_argument("--seeds", default="0,1,2,3,4", help="seeds for the numeric cross-checks")
+    p_ss.add_argument("--seeds", default=DEFAULT_SEEDS, help="seeds for the numeric cross-checks")
     p_ss.add_argument("--coeff-range", type=_int_at_least(1), default=99, help="coefficient magnitude bound")
     p_ss.set_defaults(func=cmd_statespace)
 
     p_or = sub.add_parser("oracle", parents=[common], help="exact zero-set test for a pattern or statespace file")
     p_or.add_argument("file", help="pattern or statespace file, or - for stdin")
-    p_or.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated instantiation seeds")
+    p_or.add_argument("--seeds", default=DEFAULT_SEEDS, help="comma-separated instantiation seeds")
     p_or.add_argument("--coeff-range", type=_int_at_least(1), default=99, help="coefficient magnitude bound")
     p_or.add_argument("--mode", choices=("generic", "statespace_strict"), default="generic")
     p_or.set_defaults(func=cmd_oracle)

@@ -41,7 +41,6 @@ __all__ = [
     "kalman_controllable",
 ]
 
-MODES = ("generic", "statespace_strict")
 DEFAULT_COEFF_BOUND = 99
 ZERO_SET_MAX_DIM = 6
 KALMAN_MAX_STATES = 12
@@ -237,7 +236,6 @@ def _nonzero_int(rng: random.Random, bound: int) -> int:
 def instantiate(
     pattern: PolyPattern,
     seed: int,
-    mode: str = "generic",
     coeff_bound: int = DEFAULT_COEFF_BOUND,
     strict_monomials: frozenset[tuple[int, int]] = frozenset(),
 ) -> ExactMatrix:
@@ -245,18 +243,16 @@ def instantiate(
 
     A degree-d entry gets all d+1 coefficients drawn uniformly from the
     nonzero integers in [-coeff_bound, coeff_bound]; absent entries are
-    zero.  In mode "statespace_strict" the positions listed in
-    ``strict_monomials`` are forced to the exact monomial s**d instead
-    (coefficient 1, all lower terms zero), which reproduces the true
-    [sI - A  B] entries where the state matrix diagonal vanishes.
+    zero.  The positions listed in ``strict_monomials`` are forced to the
+    exact monomial s**d instead (coefficient 1, all lower terms zero), which
+    reproduces the true [sI - A  B] entries where the state matrix diagonal
+    vanishes; an empty set is the generic convention.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     rng = random.Random(seed)
     zero = ExactPoly()
     grid = [[zero] * pattern.cols for _ in range(pattern.rows)]
     for i, j, d in pattern.sorted_entries():
-        if mode == "statespace_strict" and (i, j) in strict_monomials:
+        if (i, j) in strict_monomials:
             grid[i][j] = ExactPoly.monomial(d)
         else:
             grid[i][j] = ExactPoly(_nonzero_int(rng, coeff_bound) for _ in range(d + 1))
@@ -320,10 +316,8 @@ def minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:
     return acc
 
 
-def _seed_gcd_degrees(pattern: PolyPattern, seeds, mode, coeff_bound, strict_monomials) -> Iterator[int]:
+def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound, strict_monomials) -> Iterator[int]:
     """Check the arguments, then lazily yield each seed's maximal-minor gcd degree (-1: every minor vanishes)."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     rank = term_rank(build_graph(pattern))
     if rank == 0:
         raise ValueError("pattern has term rank 0; zero-set test undefined")
@@ -332,14 +326,13 @@ def _seed_gcd_degrees(pattern: PolyPattern, seeds, mode, coeff_bound, strict_mon
             f"minor enumeration guarded at dimension {ZERO_SET_MAX_DIM}, pattern is {pattern.rows}x{pattern.cols}"
         )
     for seed in seeds:
-        g = minor_gcd(instantiate(pattern, seed, mode, coeff_bound, strict_monomials), rank)
+        g = minor_gcd(instantiate(pattern, seed, coeff_bound, strict_monomials), rank)
         yield -1 if g is None else g.degree
 
 
 def zero_set_empty(
     pattern: PolyPattern,
     seeds,
-    mode: str = "generic",
     coeff_bound: int = DEFAULT_COEFF_BOUND,
     strict_monomials: frozenset[tuple[int, int]] = frozenset(),
 ) -> bool:
@@ -351,18 +344,17 @@ def zero_set_empty(
     vanishing) reports a generically nonempty zero set.  Stops at the first
     certifying seed.
     """
-    return 0 in _seed_gcd_degrees(pattern, seeds, mode, coeff_bound, strict_monomials)
+    return 0 in _seed_gcd_degrees(pattern, seeds, coeff_bound, strict_monomials)
 
 
 def zero_set_gcd_degrees(
     pattern: PolyPattern,
     seeds,
-    mode: str = "generic",
     coeff_bound: int = DEFAULT_COEFF_BOUND,
     strict_monomials: frozenset[tuple[int, int]] = frozenset(),
 ) -> list[int]:
     """Per-seed gcd degree of all maximal minors; -1 when every minor vanishes."""
-    return list(_seed_gcd_degrees(pattern, seeds, mode, coeff_bound, strict_monomials))
+    return list(_seed_gcd_degrees(pattern, seeds, coeff_bound, strict_monomials))
 
 
 def _rank_exact(rows: list[list[int]]) -> int:

@@ -91,7 +91,7 @@ def test_a02_analyze_agrees_with_zero_set_oracle():
     start = time.perf_counter()
     family = _pattern_family()
     disagreements = [
-        p for p in family if analyze(p).controllable != zero_set_empty(p, SEEDS, "generic")
+        p for p in family if analyze(p).controllable != zero_set_empty(p, SEEDS)
     ]
     elapsed = time.perf_counter() - start
     assert disagreements == []
@@ -231,7 +231,7 @@ def test_a09_row_duplication_keeps_verdict_and_rank():
                 ok = doubled.term_rank == original.term_rank + 1 and doubled.minimal == original.minimal
                 if ok and min(pattern.rows, pattern.cols) <= 6:
                     oracle_checked += 1
-                    ok = doubled.controllable == zero_set_empty(pattern, SEEDS, "generic")
+                    ok = doubled.controllable == zero_set_empty(pattern, SEEDS)
             if not ok:
                 violations.append((p.rows, p.cols, row, doubled.verdict, doubled.minimal, doubled.term_rank))
     ok = not violations and redundant > 0
@@ -283,8 +283,8 @@ def test_a10_shared_drive_two_conventions_study():
     strict = strict_monomial_entries(ss)
 
     assert kalman_controllable(ss, SEEDS) is False
-    assert zero_set_empty(pencil, SEEDS, "statespace_strict", strict_monomials=strict) is False
-    assert zero_set_empty(pencil, SEEDS, "generic") is True
+    assert zero_set_empty(pencil, SEEDS, strict_monomials=strict) is False
+    assert zero_set_empty(pencil, SEEDS) is True
     assert analyze(pencil).verdict == CONTROLLABLE
 
     readme = (REPO / "README.md").read_text(encoding="utf-8")

@@ -15,9 +15,11 @@ from structctrl import (
     max_matching,
     term_rank,
 )
+from structctrl.bigraph import _UNMATCHED, _max_matching_pairs
 
 from fixture_patterns import matchings_of_size, same_graph, wide_2x3
 from test_patterns import patterns
+from test_reduction import pencil_graphs, seeded_large_graphs, weighted_graphs
 
 
 def brute_force_max_matching(g: WeightedBigraph) -> int:
@@ -193,3 +195,27 @@ def test_has_edge_and_weight_match_edge_dict(p, data):
         else:
             with pytest.raises(KeyError):
                 g.weight(r, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(weighted_graphs(), seeded_large_graphs(), pencil_graphs()))
+def test_matching_is_maximum(g):
+    """The mates are edges and agree, size counts them, and no augmenting path is left (Berge).
+
+    Large graphs are needed: a search that stops after one phase, or keeps its
+    visited columns across phases, still finds a maximum matching on almost
+    every graph of up to 9x9.
+    """
+    size, pair_r, pair_c = _max_matching_pairs(g)
+    pairs = [(r, c) for r, c in enumerate(pair_r) if c != _UNMATCHED]
+    assert all(g.has_edge(r, c) and pair_c[c] == r for r, c in pairs)
+    assert size == len(pairs) == sum(r != _UNMATCHED for r in pair_c)
+    # Alternating search from the free rows: any edge to a column, then the column's mate.
+    reached = [False] * g.c_count
+    queue = [r for r, c in enumerate(pair_r) if c == _UNMATCHED]
+    for r in queue:
+        for c in g.r_adj[r]:
+            if not reached[c]:
+                reached[c] = True
+                assert pair_c[c] != _UNMATCHED, f"augmenting path from a free row ends at free column {c}"
+                queue.append(pair_c[c])

@@ -206,14 +206,10 @@ class TestInstantiate:
         pencil = controllability_pencil(ss)
         strict = strict_monomial_entries(ss)
         assert strict == frozenset({(0, 0), (2, 2)})  # diagonal states without self-coupling
-        m = instantiate(pencil, seed=1, mode="statespace_strict", strict_monomials=strict)
+        m = instantiate(pencil, seed=1, strict_monomials=strict)
         assert m.entry(0, 0) == P(0, 1)  # exactly s
         assert m.entry(2, 2) == P(0, 1)
         assert m.entry(1, 1).degree == 1 and m.entry(1, 1) != P(0, 1)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            instantiate(PolyPattern(1, 1, {(0, 0): 0}), seed=0, mode="float")
 
 
 class TestZeroSet:
@@ -230,10 +226,10 @@ class TestZeroSet:
         ss = shared_drive_ss()
         pencil = controllability_pencil(ss)
         strict = strict_monomial_entries(ss)
-        assert zero_set_empty(pencil, SEEDS, "generic") is True
-        assert zero_set_empty(pencil, SEEDS, "statespace_strict", strict_monomials=strict) is False
-        # in strict mode all maximal minors share the factor s
-        degrees = zero_set_gcd_degrees(pencil, SEEDS, "statespace_strict", strict_monomials=strict)
+        assert zero_set_empty(pencil, SEEDS) is True
+        assert zero_set_empty(pencil, SEEDS, strict_monomials=strict) is False
+        # with the strict monomials all maximal minors share the factor s
+        degrees = zero_set_gcd_degrees(pencil, SEEDS, strict_monomials=strict)
         assert degrees == [1] * 5
 
     def test_guards(self):
@@ -366,7 +362,5 @@ class TestKalman:
     )
     def test_agrees_with_strict_zero_set(self, ss):
         pencil = controllability_pencil(ss)
-        strict = zero_set_empty(
-            pencil, SEEDS, "statespace_strict", strict_monomials=strict_monomial_entries(ss)
-        )
+        strict = zero_set_empty(pencil, SEEDS, strict_monomials=strict_monomial_entries(ss))
         assert kalman_controllable(ss, SEEDS) == strict

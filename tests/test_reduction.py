@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from structctrl import (
     PolyPattern,
     WeightedBigraph,
+    analyze,
     analyze_reduction,
     build_graph,
     connected_components,
@@ -219,3 +220,25 @@ def test_components_and_witness_match_union_find_reference(g):
     assert comps == expected  # order, vertex tuples and edge tuples
     assert [c.max_weight for c in comps] == [c.max_weight for c in expected]
     assert analyze_reduction(g, rg).witness == reference_witness(rg, expected)
+
+
+def test_staircase_deep_augmenting_path():
+    """A 20,000-row staircase that the matching can only complete by one augmenting path through every row.
+
+    Rows i < n-1 hold columns i and i+1, row n-1 only column 0, all of degree
+    0.  Each row i < n-1 first takes column i, so row n-1 must shift the whole
+    chain by one column; the only perfect matching leaves the n-1 diagonal
+    edges redundant and every vertex pair its own component.  A recursive
+    search, or a recursive strongly connected component pass over the chain,
+    would exhaust the stack.
+    """
+    n = 20_000
+    entries = {(i, i): 0 for i in range(n - 1)} | {(i, i + 1): 0 for i in range(n - 1)} | {(n - 1, 0): 0}
+    report = analyze(PolyPattern(n, n, entries))
+    assert report.term_rank == n
+    assert report.controllable
+    assert len(report.components) == n
+    assert len(report.redundant_edges) == n - 1
+    # One more row, on column n-1 alone: the last phase, which finds no
+    # augmenting path, descends from it through every row of the chain.
+    assert term_rank(build_graph(PolyPattern(n + 1, n, entries | {(n, n - 1): 0}))) == n
