@@ -134,27 +134,27 @@ def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int], list[int]]:
 
     Depth-first augmenting search with lookahead and fairness (Pothen and Fan
     1990; Duff, Kaya and Ucar 2011).  A phase tries the free rows in ascending
-    order and enters each column at most once.  A row first takes a free
-    column at or after its lookahead pointer, which only moves forward since a
-    matched column never becomes free; failing that, the search descends
-    through its matched columns, ascending in one phase and descending in the
-    next.  Phases repeat while some row augments, so the last finds no
-    augmenting path and the matching is maximum (Berge).  Deterministic;
-    O(V * E) in the worst case, against O(E * sqrt(V)) for Hopcroft-Karp.
-    Iterative, so long augmenting paths cannot exhaust the stack.
+    order, from a list refiltered after each phase, and enters each column at
+    most once.  A row first takes a free column at or after its lookahead
+    pointer, which only moves forward since a matched column never becomes
+    free; failing that, the search descends through its matched columns,
+    ascending in one phase and descending in the next.  Phases repeat while
+    some row augments, so the last finds no augmenting path and the matching
+    is maximum (Berge).  Deterministic; O(V * E) in the worst case, against
+    O(E * sqrt(V)) for Hopcroft-Karp.  Iterative, so long augmenting paths
+    cannot exhaust the stack.
     """
     adj = g.r_adj
     pair_r = [_UNMATCHED] * g.r_count
     pair_c = [_UNMATCHED] * g.c_count
     look = [0] * g.r_count
+    free = list(range(g.r_count))
     order = iter
     augmented = True
     while augmented:
         augmented = False
         seen = [False] * g.c_count
-        for root in range(g.r_count):
-            if pair_r[root] != _UNMATCHED:
-                continue
+        for root in free:  # an augmenting path matches its root and unmatches no row
             frames = []  # (row, column scan) for each row on the path from root
             r = root
             while r != _UNMATCHED:
@@ -181,6 +181,7 @@ def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int], list[int]]:
                             break
                     else:
                         frames.pop()
+        free = [r for r in free if pair_r[r] == _UNMATCHED]
         order = reversed if order is iter else iter
     return g.r_count - pair_r.count(_UNMATCHED), pair_r, pair_c
 

@@ -136,7 +136,7 @@ def cmd_statespace(args) -> int:
             pencil = controllability_pencil(ss)
             cross["zero_set_empty_generic"] = zero_set_empty(pencil, seeds, args.coeff_range)
             cross["zero_set_empty_strict"] = zero_set_empty(pencil, seeds, args.coeff_range, strict_monomial_entries(ss))
-        if cross["kalman_rank_full"] == rep.controllable:
+        if cross["kalman_rank_full"] == cross.get("zero_set_empty_generic", rep.controllable) == rep.controllable:
             cross = None  # checks agree; nothing to flag
 
     if args.json:

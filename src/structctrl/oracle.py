@@ -5,22 +5,23 @@ values outside a measure-zero set.  This module checks such claims on
 concrete instances: fill the pattern with random integer-coefficient
 polynomials, take the gcd of all maximal minors exactly, and test whether
 it is constant (empty zero set) or not.  The minors come one at a time,
-until the gcd is constant, from one Laplace expansion whose memo they all
-share (Gentleman and Johnson 1976).  A single random integer point almost
-surely avoids any fixed degeneracy variety, so one constant-gcd witness
-settles "generically empty"; a claim of "generically nonempty" is accepted
-only when every seed fails.
+until the gcd is constant, from one Laplace expansion that walks only the
+nonzero entries and whose memo they all share (Gentleman and Johnson 1976).
+A single random integer point almost surely avoids any fixed degeneracy
+variety, so one constant-gcd witness settles "generically empty"; a claim
+of "generically nonempty" is accepted only when every seed fails.
 
-Everything is arbitrary-precision integer arithmetic: the polynomial gcd
-uses primitive pseudo-remainders and the Kalman rank fraction-free
-elimination, so no rational or float appears.  Both checks are exhaustive
-and guarded: the zero-set test at min(p, v) <= ZERO_SET_MAX_DIM, the
-Kalman test at n <= KALMAN_MAX_STATES; past a guard they raise
-GuardLimitError.
+Everything is arbitrary-precision integer arithmetic, on plain coefficient
+lists in the inner loops: the polynomial gcd uses primitive
+pseudo-remainders and the Kalman rank fraction-free elimination, so no
+rational or float appears.  Both checks are exhaustive and guarded: the
+zero-set test at min(p, v) <= ZERO_SET_MAX_DIM, the Kalman test at
+n <= KALMAN_MAX_STATES; past a guard they raise GuardLimitError.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -125,26 +126,12 @@ class ExactPoly:
 
     __rmul__ = __mul__
 
-    def shifted(self, k: int) -> "ExactPoly":
-        """Multiply by s**k."""
-        if self.is_zero:
-            return self
-        return ExactPoly((0,) * k + self.coeffs)
-
     def content(self) -> int:
-        if self.is_zero:
-            return 0
-        g = 0
-        for c in self.coeffs:
-            g = _gcd_int(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive_part(self) -> "ExactPoly":
         """Divide out the integer content; sign of the leading coefficient is kept."""
-        if self.is_zero:
-            return self
-        g = self.content()
-        return ExactPoly(c // g for c in self.coeffs)
+        return ExactPoly(_primitive(self.coeffs))
 
     def __str__(self):
         if self.is_zero:
@@ -169,20 +156,28 @@ class ExactPoly:
         return f"ExactPoly({list(self.coeffs)})"
 
 
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+def _primitive(coeffs) -> list[int]:
+    """Coefficients divided by their integer content; the zero polynomial's empty list stays empty."""
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs]
 
 
-def _pseudo_rem(f: ExactPoly, g: ExactPoly) -> ExactPoly:
-    """Integer-coefficient remainder of lc(g)^k * f by g."""
-    lead = g.lead
+def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
+    """Remainder of lc(g)^k * f by g, on stripped coefficient lists.
+
+    Each step scales the remainder by lc(g) and subtracts g, shifted under
+    its leading term and times that term; the leading terms cancel, so the
+    top coefficient is dropped, not computed.
+    """
+    *tail, lead = g
     r = f
-    while not r.is_zero and r.degree >= g.degree:
-        shift = r.degree - g.degree
-        r = r * lead - g.shifted(shift) * r.lead
+    while len(r) >= len(g):
+        top = r[-1]
+        r = [c * lead for c in r[:-1]]
+        for i, c in enumerate(tail, len(r) - len(tail)):
+            r[i] -= c * top
+        while r and r[-1] == 0:
+            r.pop()
     return r
 
 
@@ -201,16 +196,12 @@ def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    if a.is_zero:
-        return _sign_normalized(b.primitive_part())
-    if b.is_zero:
-        return _sign_normalized(a.primitive_part())
-    f, g = a.primitive_part(), b.primitive_part()
-    if f.degree < g.degree:
+    f, g = _primitive(a.coeffs), _primitive(b.coeffs)
+    if len(f) < len(g):
         f, g = g, f
-    while not g.is_zero:
-        f, g = g, _pseudo_rem(f, g).primitive_part()
-    return _sign_normalized(f)
+    while g:
+        f, g = g, _primitive(_pseudo_rem(f, g))
+    return _sign_normalized(ExactPoly(f))
 
 
 @dataclass(frozen=True)
@@ -259,37 +250,40 @@ def instantiate(
     return ExactMatrix(pattern.rows, pattern.cols, tuple(tuple(row) for row in grid))
 
 
-def _laplace(grid, memo: dict[int, ExactPoly], rows: int, cols: int, shift: int) -> ExactPoly:
-    """Determinant of ``grid`` on the row and column bitmasks (equal popcounts).
+def _laplace(entries, memo: dict[int, list[int]], rows: int, cols: int, shift: int) -> list[int]:
+    """Determinant on two bitmasks of equal popcount, as a stripped coefficient list.
 
-    Expands along the lowest remaining row.  ``memo``, keyed on ``rows << shift | cols``
-    and holding 0 -> 1 for the empty minor, may be shared by every minor of ``grid``.
+    Expands along the lowest remaining row i through its nonzero ``(column
+    bit, coefficients)`` pairs ``entries[i]``, skipping columns not in ``cols``;
+    the cofactor sign is the parity of ``(cols & (bit - 1)).bit_count()``.
+    ``memo``, keyed on ``rows << shift | cols`` and holding 0 -> [1], may be
+    shared by every minor and is read before each call, so a hit costs none.
+    It holds lists, not tuples: their allocations keep the collector's full
+    passes running, and only those clear the tuple free lists, which would grow.
     """
-    key = rows << shift | cols
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
     low = rows & -rows
-    row = grid[low.bit_length() - 1]
     rest = rows ^ low
     total: list[int] = []  # coefficients, summed in place
-    sign = 1
-    left = cols
-    while left:
-        bit = left & -left
-        left ^= bit
-        e = row[bit.bit_length() - 1].coeffs
-        if e:
-            sub = _laplace(grid, memo, rest, cols ^ bit, shift).coeffs if rest else (1,)
-            if len(total) < len(e) + len(sub) - 1:
-                total.extend([0] * (len(e) + len(sub) - 1 - len(total)))
-            for i, a in enumerate(e):
-                a *= sign
-                for j, b in enumerate(sub, i):
-                    total[j] += a * b
-        sign = -sign
-    det = memo[key] = ExactPoly(total)
-    return det
+    for bit, e in entries[low.bit_length() - 1]:
+        if not cols & bit:
+            continue
+        sub_cols = cols ^ bit
+        sub = memo.get(rest << shift | sub_cols)
+        if sub is None:
+            sub = _laplace(entries, memo, rest, sub_cols, shift)
+        if not sub:
+            continue
+        if len(total) < len(e) + len(sub) - 1:
+            total.extend([0] * (len(e) + len(sub) - 1 - len(total)))
+        sign = -1 if (cols & (bit - 1)).bit_count() & 1 else 1
+        for i, a in enumerate(e):
+            a *= sign
+            for j, b in enumerate(sub, i):
+                total[j] += a * b
+    while total and total[-1] == 0:
+        total.pop()
+    memo[rows << shift | cols] = total
+    return total
 
 
 def minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:
@@ -303,13 +297,19 @@ def minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:
     """
     n_rows, n_cols = sorted((matrix.rows, matrix.cols))
     grid = matrix.grid if matrix.rows <= matrix.cols else tuple(zip(*matrix.grid))
-    memo = {0: ExactPoly.constant(1)}
+    entries = [[(1 << j, e.coeffs) for j, e in enumerate(row) if e.coeffs] for row in grid]
+    memo = {0: [1]}
     acc: ExactPoly | None = None
     for rows in combinations([1 << i for i in range(n_rows)], size):
+        row_mask = sum(rows)
         for cols in combinations([1 << j for j in range(n_cols)], size):
-            d = _laplace(grid, memo, sum(rows), sum(cols), n_cols)
-            if d.is_zero:
+            col_mask = sum(cols)
+            d = memo.get(row_mask << n_cols | col_mask)
+            if d is None:
+                d = _laplace(entries, memo, row_mask, col_mask, n_cols)
+            if not d:
                 continue
+            d = ExactPoly(d)
             acc = _sign_normalized(d.primitive_part()) if acc is None else poly_gcd(acc, d)
             if acc.degree == 0:
                 return acc
@@ -391,25 +391,26 @@ def kalman_controllable(
     """Classical cross-check: rank of [B, AB, ..., A^(n-1) B] over Q by fraction-free elimination.
 
     A and B get random nonzero integers at the pattern positions and exact
-    zeros elsewhere; full rank n at any seed certifies structural
-    controllability of the first-order system.
+    zeros elsewhere, drawn in sorted A-entry then sorted B-entry order; full
+    rank n at any seed certifies structural controllability of the
+    first-order system.  A is held as per-row ``(column, value)`` lists and B
+    as columns, so an A^k B column costs one product per nonzero of A.
     """
     if ss.n > KALMAN_MAX_STATES:
         raise GuardLimitError(f"controllability-matrix test guarded at {KALMAN_MAX_STATES} states, got {ss.n}")
     for seed in seeds:
         rng = random.Random(seed)
-        a = [[0] * ss.n for _ in range(ss.n)]
+        a_rows = [[] for _ in range(ss.n)]
         for i, j in sorted(ss.a_entries):
-            a[i][j] = _nonzero_int(rng, coeff_bound)
-        b = [[0] * ss.m for _ in range(ss.n)]
+            a_rows[i].append((j, _nonzero_int(rng, coeff_bound)))
+        block = [[0] * ss.n for _ in range(ss.m)]  # the columns of B
         for i, k in sorted(ss.b_entries):
-            b[i][k] = _nonzero_int(rng, coeff_bound)
+            block[k][i] = _nonzero_int(rng, coeff_bound)
 
-        block = b
-        columns = [list(col) for col in zip(*b)] if ss.m else []
+        columns = list(block)
         for _ in range(ss.n - 1):
-            block = [[sum(a[i][t] * block[t][k] for t in range(ss.n)) for k in range(ss.m)] for i in range(ss.n)]
-            columns.extend(list(col) for col in zip(*block))
+            block = [[sum(v * col[t] for t, v in row) for row in a_rows] for col in block]
+            columns.extend(block)
         ctrb_rows = [[col[i] for col in columns] for i in range(ss.n)]
         if _rank_exact(ctrb_rows) == ss.n:
             return True

@@ -5,6 +5,7 @@ Indices here are 0-based, matching the library's internal convention.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from structctrl import (
     remove_redundant_edges,
     term_rank,
 )
+from structctrl.oracle import _rank_exact
 
 
 def wide_2x3() -> PolyPattern:
@@ -345,6 +347,59 @@ def det_bareiss(matrix: ExactMatrix, row_set=None, col_set=None) -> ExactPoly:
             grid[i][k] = ExactPoly()
         prev = grid[k][k]
     return sign * grid[n - 1][n - 1]
+
+
+def reference_poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
+    """Gcd over the rationals by monic Euclid on Fractions, as the positive primitive integer polynomial.
+
+    Shares nothing with the library's integer pseudo-remainder sequence,
+    which is checked against it.
+    """
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd of two zero polynomials is undefined")
+    f = [Fraction(c) for c in a.coeffs]
+    g = [Fraction(c) for c in b.coeffs]
+    while g:
+        g = [c / g[-1] for c in g]  # monic, so each step cancels the lead of f exactly
+        while len(f) >= len(g):
+            shift, top = len(f) - len(g), f[-1]
+            for i, c in enumerate(g):
+                f[shift + i] -= top * c
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    scale = math.lcm(*(c.denominator for c in f))
+    ints = [int(c * scale) for c in f]
+    content = math.gcd(*ints)
+    sign = 1 if ints[-1] > 0 else -1
+    return ExactPoly(sign * c // content for c in ints)
+
+
+def reference_kalman_controllable(ss: StateSpacePattern, seeds, coeff_bound: int = 99) -> bool:
+    """Rank of [B, AB, ..., A^(n-1) B] from dense n-by-n products, drawing A and B as the library does.
+
+    Entries are drawn in sorted A-entry then sorted B-entry order, each a random
+    sign times a magnitude in [1, coeff_bound]; the library's sparse products
+    are checked against this.
+    """
+    for seed in seeds:
+        rng = random.Random(seed)
+        a = [[0] * ss.n for _ in range(ss.n)]
+        for i, j in sorted(ss.a_entries):
+            a[i][j] = rng.choice((1, -1)) * rng.randint(1, coeff_bound)
+        b = [[0] * ss.m for _ in range(ss.n)]
+        for i, k in sorted(ss.b_entries):
+            b[i][k] = rng.choice((1, -1)) * rng.randint(1, coeff_bound)
+
+        block = b
+        columns = [list(col) for col in zip(*b)] if ss.m else []
+        for _ in range(ss.n - 1):
+            block = [[sum(a[i][t] * block[t][k] for t in range(ss.n)) for k in range(ss.m)] for i in range(ss.n)]
+            columns.extend(list(col) for col in zip(*block))
+        ctrb_rows = [[col[i] for col in columns] for i in range(ss.n)]
+        if _rank_exact(ctrb_rows) == ss.n:
+            return True
+    return False
 
 
 def fraction_rank(rows: list[list[int]]) -> int:

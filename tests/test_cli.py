@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from structctrl import PolyPattern, emit_pattern, parse_pattern
+from structctrl import PolyPattern, cli, emit_pattern, parse_pattern
 from structctrl.cli import _build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -130,6 +130,18 @@ class TestStatespace:
         assert obj["verdict"] == "structurally controllable"
         assert obj["state_connectivity"] == [True, True, True]
         assert obj["cross_check_disagreement"]["kalman_rank_full"] is False
+
+    def test_reports_zero_set_disagreement_when_kalman_agrees(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "ss.txt"
+        f.write_text("statespace 2 1\na 1 1\na 1 2\na 2 2\nb 2 1\n")  # full diagonal, controllable
+        monkeypatch.setattr(cli, "zero_set_empty", lambda *args: False)
+        code, out, _ = run(capsys, "statespace", "--json", str(f))
+        assert code == 0  # the structural verdict still sets the exit code
+        assert json.loads(out)["cross_check_disagreement"] == {
+            "kalman_rank_full": True,
+            "zero_set_empty_generic": False,
+            "zero_set_empty_strict": False,
+        }
 
     def test_rejects_pattern_file(self, capsys):
         code, _, err = run(capsys, "statespace", str(FIXTURES / "wide_2x3.txt"))

@@ -37,6 +37,8 @@ from fixture_patterns import (
     minor_determinant,
     poly_exact_div,
     random_pattern,
+    reference_kalman_controllable,
+    reference_poly_gcd,
     relay_ss,
     shared_drive_ss,
 )
@@ -133,6 +135,14 @@ def test_gcd_divides_both_and_is_symmetric(a, b):
 @given(nonzero_polys(), nonzero_polys(), st.integers(1, 9))
 def test_gcd_degree_scale_invariant(a, b, k):
     assert poly_gcd(a * k, b).degree == poly_gcd(a, b).degree
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_polys(bound=99), nonzero_polys(bound=99), st.one_of(st.none(), nonzero_polys(max_degree=3, bound=9)))
+def test_gcd_matches_fraction_reference(a, b, common):
+    if common is not None:  # plant a common factor
+        a, b = a * common, b * common
+    assert poly_gcd(a, b) == reference_poly_gcd(a, b)
 
 
 class TestExactDiv:
@@ -364,3 +374,28 @@ class TestKalman:
         pencil = controllability_pencil(ss)
         strict = zero_set_empty(pencil, SEEDS, strict_monomials=strict_monomial_entries(ss))
         assert kalman_controllable(ss, SEEDS) == strict
+
+
+@st.composite
+def kalman_systems(draw):
+    """Systems with n <= 12 and m <= 3: some with every diagonal entry of A set,
+    some with a planted block of states that neither B nor the other states reach."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(0, 3))
+    a_cells = [(i, j) for i in range(n) for j in range(n)]
+    a = set(draw(st.lists(st.sampled_from(a_cells), max_size=3 * n, unique=True)))
+    if draw(st.booleans()):
+        a |= {(i, i) for i in range(n)}
+    b = set(draw(st.lists(st.sampled_from([(i, k) for i in range(n) for k in range(m)]), max_size=2 * n, unique=True)) if m else ())
+    if n > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, n - 1))  # states cut.. are unreachable
+        a = {(i, j) for i, j in a if i < cut or j >= cut}
+        b = {(i, k) for i, k in b if i < cut}
+    return StateSpacePattern(n, m, frozenset(a), frozenset(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kalman_systems(), st.lists(st.integers(0, 2**32), min_size=1, max_size=3), st.sampled_from((1, 2, 99)))
+def test_kalman_matches_dense_reference(ss, seeds, coeff_bound):
+    # coefficient bound 1 makes rank drops at single seeds likely
+    for seed in seeds:
+        assert kalman_controllable(ss, [seed], coeff_bound) == reference_kalman_controllable(ss, [seed], coeff_bound)
