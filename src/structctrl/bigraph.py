@@ -12,21 +12,19 @@ reduction pass edges that a ``PolyPattern`` or an earlier graph has already
 checked and sorted straight to the unchecked builder.  A graph keeps no
 weight map: ``weight`` reads the sorted edge tuple by bisection.  One
 maximum-matching search, Pothen and Fan's depth-first augmenting search with
-lookahead, serves ``max_matching``, ``term_rank`` and the reduction.
+lookahead, serves ``term_rank`` and the reduction; it returns the mates of
+each row and column as plain lists.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .patterns import PolyPattern
 
 __all__ = [
     "WeightedBigraph",
-    "Matching",
     "build_graph",
-    "max_matching",
     "term_rank",
 ]
 
@@ -98,32 +96,6 @@ class WeightedBigraph:
         return f"WeightedBigraph({self.r_count}x{self.c_count}, {len(self.edges)} edges)"
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of edges no two of which share a vertex."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        rows = [r for r, _ in self.pairs]
-        cols = [c for _, c in self.pairs]
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-            raise ValueError("matching pairs share a vertex")
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.pairs))
-
-    def r_set(self) -> frozenset[int]:
-        return frozenset(r for r, _ in self.pairs)
-
-    def c_set(self) -> frozenset[int]:
-        return frozenset(c for _, c in self.pairs)
-
-
 def build_graph(pattern: PolyPattern) -> WeightedBigraph:
     """Graph of a pattern: one edge per entry, weight = entry degree."""
     return WeightedBigraph._from_sorted(pattern.rows, pattern.cols, pattern.sorted_entries())
@@ -184,12 +156,6 @@ def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int], list[int]]:
         free = [r for r in free if pair_r[r] == _UNMATCHED]
         order = reversed if order is iter else iter
     return g.r_count - pair_r.count(_UNMATCHED), pair_r, pair_c
-
-
-def max_matching(g: WeightedBigraph) -> Matching:
-    """A maximum-cardinality matching of g (deterministic for a fixed graph)."""
-    _, pair_r, _ = _max_matching_pairs(g)
-    return Matching(frozenset((r, c) for r, c in enumerate(pair_r) if c != _UNMATCHED))
 
 
 def term_rank(g: WeightedBigraph) -> int:

@@ -60,16 +60,6 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _parse_seeds(text: str) -> list[int]:
-    try:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"bad seed list {text!r}; expected comma-separated integers") from None
-    if not seeds:
-        raise ValueError("seed list is empty")
-    return seeds
-
-
 def _report_json(report: AnalysisReport) -> dict:
     return {
         "verdict": report.verdict,
@@ -127,15 +117,14 @@ def cmd_analyze(args) -> int:
 def cmd_statespace(args) -> int:
     ss = parse_statespace(_read_text(args.file))
     rep = analyze_statespace(ss)
-    seeds = _parse_seeds(args.seeds)
 
     cross = None
     if not args.quiet and ss.n <= KALMAN_MAX_STATES:
-        cross = {"kalman_rank_full": kalman_controllable(ss, seeds, args.coeff_range)}
+        cross = {"kalman_rank_full": kalman_controllable(ss, args.seeds, args.coeff_range)}
         if ss.n <= ZERO_SET_MAX_DIM:
             pencil = controllability_pencil(ss)
-            cross["zero_set_empty_generic"] = zero_set_empty(pencil, seeds, args.coeff_range)
-            cross["zero_set_empty_strict"] = zero_set_empty(pencil, seeds, args.coeff_range, strict_monomial_entries(ss))
+            cross["zero_set_empty_generic"] = zero_set_empty(pencil, args.seeds, args.coeff_range)
+            cross["zero_set_empty_strict"] = zero_set_empty(pencil, args.seeds, args.coeff_range, strict_monomial_entries(ss))
         if cross["kalman_rank_full"] == cross.get("zero_set_empty_generic", rep.controllable) == rep.controllable:
             cross = None  # checks agree; nothing to flag
 
@@ -150,17 +139,26 @@ def cmd_statespace(args) -> int:
             for i, ok in enumerate(rep.state_connectivity):
                 print(f"state {i + 1}: {'connected' if ok else 'NOT connected'}")
             if cross is not None:
-                _print_cross_check_note(cross)
+                _print_cross_check_note(cross, bool(strict_monomial_entries(ss)), rep.controllable)
     return 0 if rep.controllable else 1
 
 
-def _print_cross_check_note(cross: dict):
+def _print_cross_check_note(cross: dict, zero_diagonal: bool, controllable: bool):
+    """The disagreement, explained by the two diagonal conventions where they can explain it.
+
+    The conventions differ only where A has a zero diagonal entry, and the
+    generic zero set follows the structural model itself; without such an
+    entry, or when the generic zero set disagrees, no convention explains it.
+    """
     print("note: fixed-coefficient cross-checks disagree with the structural verdict.")
     rank = "full" if cross["kalman_rank_full"] else "deficient"
     print(f"  controllability-matrix rank over random integer instances: {rank}")
     if "zero_set_empty_generic" in cross:
         print(f"  zero set empty, generic coefficients: {'yes' if cross['zero_set_empty_generic'] else 'no'}")
         print(f"  zero set empty, forced-monomial diagonal: {'yes' if cross['zero_set_empty_strict'] else 'no'}")
+    if not zero_diagonal or cross.get("zero_set_empty_generic", controllable) != controllable:
+        print("  no modeling convention explains this disagreement; it points at a fault in the oracle or the analysis.")
+        return
     print("  the structural model treats every diagonal derivative term as an arbitrary")
     print("  degree-1 polynomial; with zero diagonal entries in the state matrix the true")
     print("  pencil can lose rank at s = 0. see README, 'When the two conventions disagree'.")
@@ -179,14 +177,13 @@ def cmd_oracle(args) -> int:
         pattern = parse_pattern(text)
         if args.mode == "statespace_strict":
             raise ValueError("mode statespace_strict requires a statespace file")
-    seeds = _parse_seeds(args.seeds)
-    degrees = zero_set_gcd_degrees(pattern, seeds, args.coeff_range, strict_entries)
+    degrees = zero_set_gcd_degrees(pattern, args.seeds, args.coeff_range, strict_entries)
     empty = any(d == 0 for d in degrees)
     if args.json:
         print(json.dumps({"mode": args.mode, "seed_gcd_degrees": degrees, "zero_set_empty": empty}))
     else:
         if not args.quiet:
-            for seed, d in zip(seeds, degrees):
+            for seed, d in zip(args.seeds, degrees):
                 if d < 0:
                     print(f"seed {seed}: all maximal minors zero")
                 else:
@@ -263,27 +260,32 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``, so a bad bound fails where it is read."""
+def _int_at_least(low: int | None):
+    """argparse type: an integer, no smaller than ``low`` if given, so a bad value fails where it is read."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
     return parse
 
 
-def _size_list(text: str) -> list[int]:
-    """argparse type: a non-empty comma-separated list of integers no smaller than 1."""
-    sizes = [_int_at_least(1)(tok) for tok in text.split(",") if tok.strip()]
-    if not sizes:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return sizes
+def _int_list(low: int | None):
+    """argparse type: a non-empty comma-separated list of integers, each no smaller than ``low`` if given."""
+    item = _int_at_least(low)
+
+    def parse(text: str) -> list[int]:
+        values = [item(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        return values
+
+    return parse
 
 
 @functools.cache
@@ -305,13 +307,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ss = sub.add_parser("statespace", parents=[common], help="verdict for a statespace file")
     p_ss.add_argument("file", help="statespace file, or - for stdin")
-    p_ss.add_argument("--seeds", default=DEFAULT_SEEDS, help="seeds for the numeric cross-checks")
+    p_ss.add_argument("--seeds", type=_int_list(None), default=DEFAULT_SEEDS, help="seeds for the numeric cross-checks")
     p_ss.add_argument("--coeff-range", type=_int_at_least(1), default=99, help="coefficient magnitude bound")
     p_ss.set_defaults(func=cmd_statespace)
 
     p_or = sub.add_parser("oracle", parents=[common], help="exact zero-set test for a pattern or statespace file")
     p_or.add_argument("file", help="pattern or statespace file, or - for stdin")
-    p_or.add_argument("--seeds", default=DEFAULT_SEEDS, help="comma-separated instantiation seeds")
+    p_or.add_argument("--seeds", type=_int_list(None), default=DEFAULT_SEEDS, help="comma-separated instantiation seeds")
     p_or.add_argument("--coeff-range", type=_int_at_least(1), default=99, help="coefficient magnitude bound")
     p_or.add_argument("--mode", choices=("generic", "statespace_strict"), default="generic")
     p_or.set_defaults(func=cmd_oracle)
@@ -329,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_b = sub.add_parser("bench", help="timing ladder over random patterns")
-    p_b.add_argument("--sizes", type=_size_list, default="50,100,200,400", help="comma-separated row counts")
+    p_b.add_argument("--sizes", type=_int_list(1), default="50,100,200,400", help="comma-separated row counts")
     p_b.add_argument("--edges-factor", type=_int_at_least(1), default=3, help="edges per row")
     p_b.add_argument("--max-degree", type=_int_at_least(0), default=2)
     p_b.add_argument("--seed", type=int, default=0)

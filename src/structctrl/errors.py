@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["PatternFormatError", "GuardLimitError", "ZeroTermRankError"]
+
 
 class PatternFormatError(ValueError):
     """Raised when pattern or state-space text violates the file grammar.

@@ -1,4 +1,4 @@
-"""Exact-arithmetic ground truth for the structural verdicts.
+"""Exact ground truth for the structural verdicts.
 
 The combinatorial analysis claims a verdict that holds for all parameter
 values outside a measure-zero set.  This module checks such claims on
@@ -11,12 +11,14 @@ A single random integer point almost surely avoids any fixed degeneracy
 variety, so one constant-gcd witness settles "generically empty"; a claim
 of "generically nonempty" is accepted only when every seed fails.
 
-Everything is arbitrary-precision integer arithmetic, on plain coefficient
-lists in the inner loops: the polynomial gcd uses primitive
-pseudo-remainders and the Kalman rank fraction-free elimination, so no
-rational or float appears.  Both checks are exhaustive and guarded: the
-zero-set test at min(p, v) <= ZERO_SET_MAX_DIM, the Kalman test at
-n <= KALMAN_MAX_STATES; past a guard they raise GuardLimitError.
+The zero-set test is arbitrary-precision integer arithmetic on plain
+coefficient lists: the gcd uses primitive pseudo-remainders, so no rational
+or float appears.  The Kalman test draws integers too, but ranks them in the
+field of the prime 2^61 - 1, through the Krylov closure of B under A: rank n
+mod the prime certifies rank n over Q, and a deficient answer is one-sided,
+like a "nonempty" zero set.  Both checks are guarded: the zero-set test at
+min(p, v) <= ZERO_SET_MAX_DIM, the Kalman test at n <= KALMAN_MAX_STATES;
+past a guard they raise GuardLimitError.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
 DEFAULT_COEFF_BOUND = 99
 ZERO_SET_MAX_DIM = 6
 KALMAN_MAX_STATES = 12
+_PRIME = 2**61 - 1  # the Kalman rank is taken in this field
 
 
 class ExactPoly:
@@ -181,27 +184,26 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     return r
 
 
-def _sign_normalized(p: ExactPoly) -> ExactPoly:
-    if not p.is_zero and p.lead < 0:
-        return -p
-    return p
-
-
-def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Gcd over the rationals, returned as its positive primitive integer representative.
+def _gcd(a, b) -> list[int]:
+    """Gcd over the rationals of two coefficient lists, not both zero, as its positive primitive list.
 
     Uses the primitive-remainder Euclidean sequence: pseudo-divide, strip
     the integer content each step, so coefficients never leave the integers
     and never blow up through rational arithmetic.
     """
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    f, g = _primitive(a.coeffs), _primitive(b.coeffs)
+    f, g = _primitive(a), _primitive(b)
     if len(f) < len(g):
         f, g = g, f
     while g:
         f, g = g, _primitive(_pseudo_rem(f, g))
-    return _sign_normalized(ExactPoly(f))
+    return f if f[-1] > 0 else [-c for c in f]
+
+
+def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
+    """Gcd over the rationals, returned as its positive primitive integer representative."""
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd of two zero polynomials is undefined")
+    return ExactPoly(_gcd(a.coeffs, b.coeffs))
 
 
 @dataclass(frozen=True)
@@ -299,7 +301,7 @@ def minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:
     grid = matrix.grid if matrix.rows <= matrix.cols else tuple(zip(*matrix.grid))
     entries = [[(1 << j, e.coeffs) for j, e in enumerate(row) if e.coeffs] for row in grid]
     memo = {0: [1]}
-    acc: ExactPoly | None = None
+    acc: list[int] = []
     for rows in combinations([1 << i for i in range(n_rows)], size):
         row_mask = sum(rows)
         for cols in combinations([1 << j for j in range(n_cols)], size):
@@ -307,13 +309,11 @@ def minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:
             d = memo.get(row_mask << n_cols | col_mask)
             if d is None:
                 d = _laplace(entries, memo, row_mask, col_mask, n_cols)
-            if not d:
-                continue
-            d = ExactPoly(d)
-            acc = _sign_normalized(d.primitive_part()) if acc is None else poly_gcd(acc, d)
-            if acc.degree == 0:
-                return acc
-    return acc
+            if d:
+                acc = _gcd(acc, d)
+                if len(acc) == 1:
+                    return ExactPoly(acc)
+    return ExactPoly(acc) if acc else None
 
 
 def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound, strict_monomials) -> Iterator[int]:
@@ -357,44 +357,23 @@ def zero_set_gcd_degrees(
     return list(_seed_gcd_degrees(pattern, seeds, coeff_bound, strict_monomials))
 
 
-def _rank_exact(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix by fraction-free (Bareiss 1968) elimination.
-
-    Every entry after a step is a minor of the input, so each division is exact.
-    """
-    m = [list(row) for row in rows]
-    n_rows, n_cols = len(m), len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        p = top[col]
-        for r in range(rank + 1, n_rows):
-            f = m[r][col]
-            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
-        prev = p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
 def kalman_controllable(
     ss: StateSpacePattern,
     seeds,
     coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> bool:
-    """Classical cross-check: rank of [B, AB, ..., A^(n-1) B] over Q by fraction-free elimination.
+    """Classical cross-check: does [B, AB, ..., A^(n-1) B] reach rank n at some seed?
 
     A and B get random nonzero integers at the pattern positions and exact
-    zeros elsewhere, drawn in sorted A-entry then sorted B-entry order; full
-    rank n at any seed certifies structural controllability of the
-    first-order system.  A is held as per-row ``(column, value)`` lists and B
-    as columns, so an A^k B column costs one product per nonzero of A.
+    zeros elsewhere, drawn in sorted A-entry then sorted B-entry order.  The
+    column space of that matrix is the Krylov closure of B under A, the
+    smallest A-invariant space holding B.  The columns of B are queued; each
+    queued vector is reduced mod the prime q = 2^61 - 1 against an echelon
+    basis, and only a vector that raises the rank joins it and queues its
+    image under A, until the rank is n.  Rank n mod q means a maximal minor
+    is nonzero mod q, hence over Q, so it certifies structural
+    controllability of the first-order system; a deficient rank at every
+    seed is one-sided evidence against it.
     """
     if ss.n > KALMAN_MAX_STATES:
         raise GuardLimitError(f"controllability-matrix test guarded at {KALMAN_MAX_STATES} states, got {ss.n}")
@@ -403,15 +382,21 @@ def kalman_controllable(
         a_rows = [[] for _ in range(ss.n)]
         for i, j in sorted(ss.a_entries):
             a_rows[i].append((j, _nonzero_int(rng, coeff_bound)))
-        block = [[0] * ss.n for _ in range(ss.m)]  # the columns of B
+        queue = [[0] * ss.n for _ in range(ss.m)]  # the columns of B
         for i, k in sorted(ss.b_entries):
-            block[k][i] = _nonzero_int(rng, coeff_bound)
-
-        columns = list(block)
-        for _ in range(ss.n - 1):
-            block = [[sum(v * col[t] for t, v in row) for row in a_rows] for col in block]
-            columns.extend(block)
-        ctrb_rows = [[col[i] for col in columns] for i in range(ss.n)]
-        if _rank_exact(ctrb_rows) == ss.n:
-            return True
+            queue[k][i] = _nonzero_int(rng, coeff_bound) % _PRIME
+        basis = []  # (pivot, vector): 1 at its pivot, 0 at every earlier pivot
+        for v in queue:  # the loop also visits the images appended below
+            for p, b in basis:
+                if c := v[p]:
+                    v = [(x - c * y) % _PRIME for x, y in zip(v, b)]
+            p = next((i for i, x in enumerate(v) if x), None)
+            if p is None:
+                continue
+            inv = pow(v[p], -1, _PRIME)
+            v = [x * inv % _PRIME for x in v]
+            basis.append((p, v))
+            if len(basis) == ss.n:
+                return True
+            queue.append([sum(a * v[j] for j, a in row) % _PRIME for row in a_rows])
     return False

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from structctrl import (
@@ -14,7 +15,6 @@ from structctrl import (
     ExactMatrix,
     ExactPoly,
     GuardLimitError,
-    Matching,
     PolyPattern,
     ReducedGraph,
     StateSpacePattern,
@@ -22,11 +22,42 @@ from structctrl import (
     Witness,
     analyze,
     build_graph,
-    max_matching,
     remove_redundant_edges,
     term_rank,
 )
-from structctrl.oracle import _rank_exact
+from structctrl.bigraph import _UNMATCHED, _max_matching_pairs
+
+
+@dataclass(frozen=True)
+class Matching:
+    """A set of edges no two of which share a vertex."""
+
+    pairs: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", frozenset(self.pairs))
+        rows = [r for r, _ in self.pairs]
+        cols = [c for _, c in self.pairs]
+        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+            raise ValueError("matching pairs share a vertex")
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.pairs))
+
+    def r_set(self) -> frozenset[int]:
+        return frozenset(r for r, _ in self.pairs)
+
+    def c_set(self) -> frozenset[int]:
+        return frozenset(c for _, c in self.pairs)
+
+
+def max_matching(g: WeightedBigraph) -> Matching:
+    """A maximum-cardinality matching of g, from the library's matching search (deterministic for a fixed graph)."""
+    _, pair_r, _ = _max_matching_pairs(g)
+    return Matching(frozenset((r, c) for r, c in enumerate(pair_r) if c != _UNMATCHED))
 
 
 def wide_2x3() -> PolyPattern:
@@ -376,11 +407,11 @@ def reference_poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
 
 
 def reference_kalman_controllable(ss: StateSpacePattern, seeds, coeff_bound: int = 99) -> bool:
-    """Rank of [B, AB, ..., A^(n-1) B] from dense n-by-n products, drawing A and B as the library does.
+    """Rank over Q of [B, AB, ..., A^(n-1) B] from dense n-by-n products, drawing A and B as the library does.
 
     Entries are drawn in sorted A-entry then sorted B-entry order, each a random
-    sign times a magnitude in [1, coeff_bound]; the library's sparse products
-    are checked against this.
+    sign times a magnitude in [1, coeff_bound]; the library's Krylov closure
+    mod a prime is checked against this exact rank.
     """
     for seed in seeds:
         rng = random.Random(seed)
@@ -397,7 +428,7 @@ def reference_kalman_controllable(ss: StateSpacePattern, seeds, coeff_bound: int
             block = [[sum(a[i][t] * block[t][k] for t in range(ss.n)) for k in range(ss.m)] for i in range(ss.n)]
             columns.extend(list(col) for col in zip(*block))
         ctrb_rows = [[col[i] for col in columns] for i in range(ss.n)]
-        if _rank_exact(ctrb_rows) == ss.n:
+        if fraction_rank(ctrb_rows) == ss.n:
             return True
     return False
 

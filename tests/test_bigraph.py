@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 
 from structctrl import (
     GuardLimitError,
-    Matching,
     PolyPattern,
     WeightedBigraph,
     build_graph,
-    max_matching,
     term_rank,
 )
 from structctrl.bigraph import _UNMATCHED, _max_matching_pairs
 
-from fixture_patterns import matchings_of_size, same_graph, wide_2x3
+from fixture_patterns import Matching, matchings_of_size, max_matching, same_graph, wide_2x3
 from test_patterns import patterns
 from test_reduction import pencil_graphs, seeded_large_graphs, weighted_graphs
 

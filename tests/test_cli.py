@@ -143,6 +143,43 @@ class TestStatespace:
             "zero_set_empty_strict": False,
         }
 
+    FULL_DIAGONAL = "statespace 2 1\na 1 1\na 1 2\na 2 2\nb 2 1\n"  # no zero diagonal entry, controllable
+    UNEXPLAINED = "  no modeling convention explains this disagreement; it points at a fault in the oracle or the analysis."
+
+    @pytest.mark.parametrize("patched", ["zero_set_empty", "kalman_controllable"])
+    def test_full_diagonal_disagreement_blames_no_convention(self, tmp_path, capsys, monkeypatch, patched):
+        f = tmp_path / "ss.txt"
+        f.write_text(self.FULL_DIAGONAL)
+        monkeypatch.setattr(cli, patched, lambda *args: False)
+        code, out, _ = run(capsys, "statespace", str(f))
+        assert code == 0
+        note = out.splitlines()[out.splitlines().index("note: fixed-coefficient cross-checks disagree with the structural verdict.") :]
+        assert note[-1] == self.UNEXPLAINED
+        assert "convention" not in "\n".join(note[:-1])
+        assert ("deficient" in note[1]) == (patched == "kalman_controllable")
+
+    def test_generic_zero_set_disagreement_blames_no_convention(self, capsys, monkeypatch):
+        # shared drive has zero diagonal entries, but a generic zero set that
+        # disagrees with the verdict is no matter of conventions
+        monkeypatch.setattr(cli, "zero_set_empty", lambda *args: False)
+        code, out, _ = run(capsys, "statespace", str(FIXTURES / "ss_shared_drive.txt"))
+        assert code == 0
+        assert out.splitlines()[-1] == self.UNEXPLAINED
+        assert "zero set empty, generic coefficients: no" in out
+
+    def test_shared_drive_note_text(self, capsys):
+        _, out, _ = run(capsys, "statespace", str(FIXTURES / "ss_shared_drive.txt"))
+        note = out[out.index("note:") :]
+        assert note == (
+            "note: fixed-coefficient cross-checks disagree with the structural verdict.\n"
+            "  controllability-matrix rank over random integer instances: deficient\n"
+            "  zero set empty, generic coefficients: yes\n"
+            "  zero set empty, forced-monomial diagonal: no\n"
+            "  the structural model treats every diagonal derivative term as an arbitrary\n"
+            "  degree-1 polynomial; with zero diagonal entries in the state matrix the true\n"
+            "  pencil can lose rank at s = 0. see README, 'When the two conventions disagree'.\n"
+        )
+
     def test_rejects_pattern_file(self, capsys):
         code, _, err = run(capsys, "statespace", str(FIXTURES / "wide_2x3.txt"))
         assert code == 2
@@ -177,9 +214,10 @@ class TestOracle:
         _, out, _ = run(capsys, "oracle", "--seeds", "7,9", str(FIXTURES / "wide_2x3.txt"))
         assert "seed 7:" in out and "seed 9:" in out
 
-    def test_bad_seed_list(self, capsys):
-        code, _, err = run(capsys, "oracle", "--seeds", "x,y", str(FIXTURES / "wide_2x3.txt"))
-        assert code == 2
+    def test_negative_seeds(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--seeds=-3,0", str(FIXTURES / "wide_2x3.txt"))
+        assert code == 0
+        assert "seed -3: gcd degree 0" in out and "seed 0:" in out
 
     def test_json(self, capsys):
         _, out, _ = run(capsys, "oracle", "--json", str(FIXTURES / "autonomous_1x1.txt"))
@@ -364,6 +402,10 @@ class TestUsage:
         (["bench", "--sizes", ""], "--sizes", "expected comma-separated integers, got ''"),
         (["bench", "--sizes", "5", "--edges-factor", "0"], "--edges-factor", "must be at least 1, got 0"),
         (["bench", "--sizes", "5", "--edges-factor", "-1"], "--edges-factor", "must be at least 1, got -1"),
+        (["oracle", "--seeds", "x,y", str(FIXTURES / "wide_2x3.txt")], "--seeds", "invalid int value: 'x'"),
+        (["oracle", "--seeds", "", str(FIXTURES / "wide_2x3.txt")], "--seeds", "expected comma-separated integers, got ''"),
+        (["statespace", "--seeds", "x,y", str(FIXTURES / "ss_chain.txt")], "--seeds", "invalid int value: 'x'"),
+        (["statespace", "--seeds", "", str(FIXTURES / "ss_chain.txt")], "--seeds", "expected comma-separated integers, got ''"),
     ]
 
     # Ids name the argv and the option only, as they did before each case pinned its message.
