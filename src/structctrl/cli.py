@@ -22,7 +22,8 @@ from pathlib import Path
 
 from .bigraph import build_graph
 from .decision import AnalysisReport, analyze, analyze_reduction
-from .oracle import KALMAN_MAX_STATES, ZERO_SET_MAX_DIM, kalman_controllable, zero_set_empty, zero_set_gcd_degrees
+from .errors import GuardLimitError
+from .oracle import kalman_controllable, zero_set_empty, zero_set_gcd_degrees
 from .patterns import (
     PolyPattern,
     emit_pattern,
@@ -118,15 +119,20 @@ def cmd_statespace(args) -> int:
     ss = parse_statespace(_read_text(args.file))
     rep = analyze_statespace(ss)
 
-    cross = None
-    if not args.quiet and ss.n <= KALMAN_MAX_STATES:
-        cross = {"kalman_rank_full": kalman_controllable(ss, args.seeds, args.coeff_range)}
-        if ss.n <= ZERO_SET_MAX_DIM:
+    cross, strict = None, frozenset()
+    if not args.quiet:
+        cross = {}
+        try:  # a check past its size guard is left out of cross
+            cross["kalman_rank_full"] = kalman_controllable(ss, args.seeds, args.coeff_range)
+            strict = strict_monomial_entries(ss)
             pencil = controllability_pencil(ss)
-            cross["zero_set_empty_generic"] = zero_set_empty(pencil, args.seeds, args.coeff_range)
-            cross["zero_set_empty_strict"] = zero_set_empty(pencil, args.seeds, args.coeff_range, strict_monomial_entries(ss))
-        if cross["kalman_rank_full"] == cross.get("zero_set_empty_generic", rep.controllable) == rep.controllable:
-            cross = None  # checks agree; nothing to flag
+            generic = cross["zero_set_empty_generic"] = zero_set_empty(pencil, args.seeds, args.coeff_range)
+            # with no forced monomial the strict call is the generic call
+            cross["zero_set_empty_strict"] = zero_set_empty(pencil, args.seeds, args.coeff_range, strict) if strict else generic
+        except GuardLimitError:
+            pass
+        if cross.get("kalman_rank_full", rep.controllable) == cross.get("zero_set_empty_generic", rep.controllable) == rep.controllable:
+            cross = None  # checks agree, or none ran; nothing to flag
 
     if args.json:
         obj = _report_json(rep.base)
@@ -139,7 +145,7 @@ def cmd_statespace(args) -> int:
             for i, ok in enumerate(rep.state_connectivity):
                 print(f"state {i + 1}: {'connected' if ok else 'NOT connected'}")
             if cross is not None:
-                _print_cross_check_note(cross, bool(strict_monomial_entries(ss)), rep.controllable)
+                _print_cross_check_note(cross, bool(strict), rep.controllable)
     return 0 if rep.controllable else 1
 
 
@@ -305,15 +311,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("file", help="pattern file, or - for stdin")
     p_an.set_defaults(func=cmd_analyze)
 
+    negative = "; a list that starts with a negative seed needs the = form, --seeds=-1,3"
     p_ss = sub.add_parser("statespace", parents=[common], help="verdict for a statespace file")
     p_ss.add_argument("file", help="statespace file, or - for stdin")
-    p_ss.add_argument("--seeds", type=_int_list(None), default=DEFAULT_SEEDS, help="seeds for the numeric cross-checks")
+    p_ss.add_argument("--seeds", type=_int_list(None), default=DEFAULT_SEEDS, help="seeds for the numeric cross-checks" + negative)
     p_ss.add_argument("--coeff-range", type=_int_at_least(1), default=99, help="coefficient magnitude bound")
     p_ss.set_defaults(func=cmd_statespace)
 
     p_or = sub.add_parser("oracle", parents=[common], help="exact zero-set test for a pattern or statespace file")
     p_or.add_argument("file", help="pattern or statespace file, or - for stdin")
-    p_or.add_argument("--seeds", type=_int_list(None), default=DEFAULT_SEEDS, help="comma-separated instantiation seeds")
+    p_or.add_argument("--seeds", type=_int_list(None), default=DEFAULT_SEEDS, help="comma-separated instantiation seeds" + negative)
     p_or.add_argument("--coeff-range", type=_int_at_least(1), default=99, help="coefficient magnitude bound")
     p_or.add_argument("--mode", choices=("generic", "statespace_strict"), default="generic")
     p_or.set_defaults(func=cmd_oracle)

@@ -4,21 +4,25 @@ The combinatorial analysis claims a verdict that holds for all parameter
 values outside a measure-zero set.  This module checks such claims on
 concrete instances: fill the pattern with random integer-coefficient
 polynomials, take the gcd of all maximal minors exactly, and test whether
-it is constant (empty zero set) or not.  The minors come one at a time,
-until the gcd is constant, from one Laplace expansion that walks only the
-nonzero entries and whose memo they all share (Gentleman and Johnson 1976).
-A single random integer point almost surely avoids any fixed degeneracy
-variety, so one constant-gcd witness settles "generically empty"; a claim
-of "generically nonempty" is accepted only when every seed fails.
+it is constant (empty zero set) or not.  An instance keeps the pattern's
+own sparse format: the row-major ``(i, j, coeffs)`` triples of its nonzero
+entries.  The minors come one at a time, until the gcd is constant, from
+one Laplace expansion that walks only those entries and whose memo they
+all share (Gentleman and Johnson 1976).  A single random integer point
+almost surely avoids any fixed degeneracy variety, so one constant-gcd
+witness settles "generically empty"; a claim of "generically nonempty" is
+accepted only when every seed fails.
 
-The zero-set test is arbitrary-precision integer arithmetic on plain
-coefficient lists: the gcd uses primitive pseudo-remainders, so no rational
-or float appears.  The Kalman test draws integers too, but ranks them in the
-field of the prime 2^61 - 1, through the Krylov closure of B under A: rank n
-mod the prime certifies rank n over Q, and a deficient answer is one-sided,
-like a "nonempty" zero set.  Both checks are guarded: the zero-set test at
-min(p, v) <= ZERO_SET_MAX_DIM, the Kalman test at n <= KALMAN_MAX_STATES;
-past a guard they raise GuardLimitError.
+A polynomial is the tuple of its integer coefficients in ascending degree,
+with no trailing zero; the zero polynomial is the empty tuple.  The gcd
+uses primitive pseudo-remainders, so no rational or float appears.  The
+Kalman test draws integers too, but ranks them in the field of the prime
+2^61 - 1, through the Krylov closure of B under A: rank n mod the prime
+certifies rank n over Q, and a deficient answer is one-sided, like a
+"nonempty" zero set.  Both checks are guarded: the zero-set test at
+min(p, v) <= ZERO_SET_MAX_DIM and at most ZERO_SET_MAX_MINORS maximal
+minors, the Kalman test at n <= KALMAN_MAX_STATES; past a guard they raise
+GuardLimitError.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .errors import GuardLimitError
 from .patterns import PolyPattern, StateSpacePattern
 
 __all__ = [
-    "ExactPoly",
     "ExactMatrix",
     "poly_gcd",
     "instantiate",
@@ -46,117 +49,9 @@ __all__ = [
 
 DEFAULT_COEFF_BOUND = 99
 ZERO_SET_MAX_DIM = 6
+ZERO_SET_MAX_MINORS = 10_000  # C(p, r) * C(v, r) maximal minors, enumerated per seed
 KALMAN_MAX_STATES = 12
 _PRIME = 2**61 - 1  # the Kalman rank is taken in this field
-
-
-class ExactPoly:
-    """Univariate polynomial with arbitrary-precision integer coefficients.
-
-    Coefficients ascend by degree; trailing zeros are stripped, so the
-    leading coefficient is nonzero unless the polynomial is zero (empty
-    coefficient tuple).  Values are immutable.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, c: int) -> "ExactPoly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "ExactPoly":
-        return cls((0,) * degree + (coeff,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 standing in for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __neg__(self):
-        return ExactPoly(-c for c in self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ExactPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ExactPoly(other * c for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return ExactPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return ExactPoly(out)
-
-    __rmul__ = __mul__
-
-    def content(self) -> int:
-        return math.gcd(*self.coeffs)
-
-    def primitive_part(self) -> "ExactPoly":
-        """Divide out the integer content; sign of the leading coefficient is kept."""
-        return ExactPoly(_primitive(self.coeffs))
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        terms = []
-        for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
-            if c == 0:
-                continue
-            if d == 0:
-                body = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                body = f"{mag}s" if d == 1 else f"{mag}s^{d}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms)
-
-    def __repr__(self):
-        return f"ExactPoly({list(self.coeffs)})"
 
 
 def _primitive(coeffs) -> list[int]:
@@ -199,27 +94,28 @@ def _gcd(a, b) -> list[int]:
     return f if f[-1] > 0 else [-c for c in f]
 
 
-def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Gcd over the rationals, returned as its positive primitive integer representative."""
-    if a.is_zero and b.is_zero:
+def poly_gcd(a, b) -> tuple[int, ...]:
+    """Gcd over the rationals of two ascending coefficient sequences, not both zero, as its positive primitive tuple."""
+    a, b = list(a), list(b)
+    for cs in (a, b):
+        while cs and cs[-1] == 0:
+            cs.pop()
+    if not a and not b:
         raise ValueError("gcd of two zero polynomials is undefined")
-    return ExactPoly(_gcd(a.coeffs, b.coeffs))
+    return tuple(_gcd(a, b))
 
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense matrix of exact polynomials."""
+    """Sparse matrix of exact polynomials: the row-major ``(i, j, coeffs)`` triples of its nonzero entries."""
 
     rows: int
     cols: int
-    grid: tuple[tuple[ExactPoly, ...], ...]
+    entries: tuple[tuple[int, int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        if len(self.grid) != self.rows or any(len(row) != self.cols for row in self.grid):
-            raise ValueError("grid shape does not match declared dimensions")
-
-    def entry(self, i: int, j: int) -> ExactPoly:
-        return self.grid[i][j]
+        if not all(0 <= i < self.rows and 0 <= j < self.cols for i, j, _ in self.entries):
+            raise ValueError(f"entry index out of range for a {self.rows}x{self.cols} matrix")
 
 
 def _nonzero_int(rng: random.Random, bound: int) -> int:
@@ -234,22 +130,23 @@ def instantiate(
 ) -> ExactMatrix:
     """Fill a pattern with random integer-coefficient polynomials.
 
-    A degree-d entry gets all d+1 coefficients drawn uniformly from the
-    nonzero integers in [-coeff_bound, coeff_bound]; absent entries are
-    zero.  The positions listed in ``strict_monomials`` are forced to the
-    exact monomial s**d instead (coefficient 1, all lower terms zero), which
-    reproduces the true [sI - A  B] entries where the state matrix diagonal
-    vanishes; an empty set is the generic convention.
+    Each of the pattern's sorted ``(i, j, d)`` entries becomes one triple
+    ``(i, j, coeffs)``: all d+1 coefficients are drawn in turn, uniformly
+    from the nonzero integers in [-coeff_bound, coeff_bound]; absent entries
+    are zero and have no triple.  The positions listed in
+    ``strict_monomials`` are forced to the exact monomial s**d instead
+    (coefficients ``(0,) * d + (1,)``, nothing drawn), which reproduces the
+    true [sI - A  B] entries where the state matrix diagonal vanishes; an
+    empty set is the generic convention.
     """
     rng = random.Random(seed)
-    zero = ExactPoly()
-    grid = [[zero] * pattern.cols for _ in range(pattern.rows)]
+    entries = []
     for i, j, d in pattern.sorted_entries():
         if (i, j) in strict_monomials:
-            grid[i][j] = ExactPoly.monomial(d)
+            entries.append((i, j, (0,) * d + (1,)))
         else:
-            grid[i][j] = ExactPoly(_nonzero_int(rng, coeff_bound) for _ in range(d + 1))
-    return ExactMatrix(pattern.rows, pattern.cols, tuple(tuple(row) for row in grid))
+            entries.append((i, j, tuple(_nonzero_int(rng, coeff_bound) for _ in range(d + 1))))
+    return ExactMatrix(pattern.rows, pattern.cols, tuple(entries))
 
 
 def _laplace(entries, memo: dict[int, list[int]], rows: int, cols: int, shift: int) -> list[int]:
@@ -288,18 +185,21 @@ def _laplace(entries, memo: dict[int, list[int]], rows: int, cols: int, shift: i
     return total
 
 
-def minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:
+def minor_gcd(matrix: ExactMatrix, size: int) -> tuple[int, ...] | None:
     """Gcd of all size-by-size minor determinants; None if every minor vanishes.
 
-    A tall matrix is transposed first, which keeps every minor.  Minors
-    are taken one at a time in lexicographic order, all through one
+    The triples are grouped into per-row ``(column bit, coeffs)`` lists; a
+    tall matrix swaps i and j, which transposes it and keeps every minor.
+    Minors are taken one at a time in lexicographic order, all through one
     shared Laplace memo, and the scan stops as soon as the gcd is
-    constant.  The result is the positive primitive representative,
+    constant.  The result is the positive primitive coefficient tuple,
     which does not depend on that order.
     """
     n_rows, n_cols = sorted((matrix.rows, matrix.cols))
-    grid = matrix.grid if matrix.rows <= matrix.cols else tuple(zip(*matrix.grid))
-    entries = [[(1 << j, e.coeffs) for j, e in enumerate(row) if e.coeffs] for row in grid]
+    triples = matrix.entries if matrix.rows <= matrix.cols else ((j, i, c) for i, j, c in matrix.entries)
+    entries = [[] for _ in range(n_rows)]
+    for i, j, coeffs in triples:
+        entries[i].append((1 << j, coeffs))
     memo = {0: [1]}
     acc: list[int] = []
     for rows in combinations([1 << i for i in range(n_rows)], size):
@@ -312,22 +212,28 @@ def minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:
             if d:
                 acc = _gcd(acc, d)
                 if len(acc) == 1:
-                    return ExactPoly(acc)
-    return ExactPoly(acc) if acc else None
+                    return tuple(acc)
+    return tuple(acc) if acc else None
 
 
 def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound, strict_monomials) -> Iterator[int]:
     """Check the arguments, then lazily yield each seed's maximal-minor gcd degree (-1: every minor vanishes)."""
-    rank = term_rank(build_graph(pattern))
-    if rank == 0:
+    if not pattern.entries:  # term rank 0; checked, like the dimension, before the matching
         raise ValueError("pattern has term rank 0; zero-set test undefined")
     if min(pattern.rows, pattern.cols) > ZERO_SET_MAX_DIM:
         raise GuardLimitError(
             f"minor enumeration guarded at dimension {ZERO_SET_MAX_DIM}, pattern is {pattern.rows}x{pattern.cols}"
         )
+    rank = term_rank(build_graph(pattern))
+    minors = math.comb(pattern.rows, rank) * math.comb(pattern.cols, rank)
+    if minors > ZERO_SET_MAX_MINORS:
+        raise GuardLimitError(
+            f"minor enumeration guarded at {ZERO_SET_MAX_MINORS} minors, "
+            f"pattern is {pattern.rows}x{pattern.cols} with {minors} minors of order {rank}"
+        )
     for seed in seeds:
         g = minor_gcd(instantiate(pattern, seed, coeff_bound, strict_monomials), rank)
-        yield -1 if g is None else g.degree
+        yield -1 if g is None else len(g) - 1
 
 
 def zero_set_empty(

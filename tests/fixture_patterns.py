@@ -13,7 +13,6 @@ from fractions import Fraction
 from structctrl import (
     Component,
     ExactMatrix,
-    ExactPoly,
     GuardLimitError,
     PolyPattern,
     ReducedGraph,
@@ -284,6 +283,96 @@ def criteria_equivalent(pattern: PolyPattern, max_rows: int = 8) -> bool:
     return forced_subset_criterion(pattern, max_rows) == analyze(pattern).controllable
 
 
+class ExactPoly:
+    """Reference univariate polynomial with arbitrary-precision integer coefficients.
+
+    Coefficients ascend by degree; trailing zeros are stripped, so the
+    leading coefficient is nonzero unless the polynomial is zero (empty
+    coefficient tuple).  The library works on bare coefficient tuples; this
+    type gives the reference determinants and gcds their arithmetic.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def constant(cls, c: int) -> "ExactPoly":
+        return cls((c,))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        """Degree, with -1 standing in for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    @property
+    def lead(self) -> int:
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __neg__(self):
+        return ExactPoly(-c for c in self.coeffs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return ExactPoly(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return ExactPoly(other * c for c in self.coeffs)
+        if self.is_zero or other.is_zero:
+            return ExactPoly()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return ExactPoly(out)
+
+    __rmul__ = __mul__
+
+    def primitive_part(self) -> "ExactPoly":
+        """Divide out the integer content; sign of the leading coefficient is kept."""
+        g = math.gcd(*self.coeffs)
+        return ExactPoly(c // g for c in self.coeffs)
+
+    def __repr__(self):
+        return f"ExactPoly({list(self.coeffs)})"
+
+
+def dense_grid(matrix: ExactMatrix) -> list[list[ExactPoly]]:
+    """The matrix's triples expanded into a rows-by-cols grid of reference polynomials, zero where no triple is."""
+    grid = [[ExactPoly()] * matrix.cols for _ in range(matrix.rows)]
+    for i, j, coeffs in matrix.entries:
+        grid[i][j] = ExactPoly(coeffs)
+    return grid
+
+
 def minor_determinant(matrix: ExactMatrix, row_set, col_set) -> ExactPoly:
     """Reference determinant of one square submatrix, rows and columns in sorted order.
 
@@ -291,6 +380,7 @@ def minor_determinant(matrix: ExactMatrix, row_set, col_set) -> ExactPoly:
     still-unused columns; the library's ``minor_gcd`` shares one memo
     across all minors and is checked against this.
     """
+    grid = dense_grid(matrix)
     rows = sorted(row_set)
     cols = sorted(col_set)
     k = len(rows)
@@ -306,7 +396,7 @@ def minor_determinant(matrix: ExactMatrix, row_set, col_set) -> ExactPoly:
         sign = 1
         for j in range(k):
             if mask >> j & 1:
-                e = matrix.entry(rows[i], cols[j])
+                e = grid[rows[i]][cols[j]]
                 if not e.is_zero:
                     total = total + sign * (e * det(mask & ~(1 << j)))
                 sign = -sign
@@ -359,7 +449,8 @@ def det_bareiss(matrix: ExactMatrix, row_set=None, col_set=None) -> ExactPoly:
     one = ExactPoly.constant(1)
     if n == 0:
         return one
-    grid = [[matrix.entry(r, c) for c in cols] for r in rows]
+    full = dense_grid(matrix)
+    grid = [[full[r][c] for c in cols] for r in rows]
     sign = 1
     prev = one
     for k in range(n - 1):

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from structctrl import PolyPattern, cli, emit_pattern, parse_pattern
+from structctrl import PolyPattern, cli, emit_pattern, oracle, parse_pattern
 from structctrl.cli import _build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# States 1-5 chained from 20 inputs, state 6 unreached: the 6x26 pencil has
+# C(26, 6) = 230,230 maximal minors, past the oracle's minor-count guard.
+WIDE_INPUTS = "statespace 6 20\n" + "".join(f"a {i + 1} {i}\n" for i in range(1, 5)) + "".join(f"b 1 {k}\n" for k in range(1, 21))
 
 
 def run(capsys, *argv):
@@ -180,6 +183,25 @@ class TestStatespace:
             "  pencil can lose rank at s = 0. see README, 'When the two conventions disagree'.\n"
         )
 
+    def test_minor_count_guard_leaves_zero_set_out(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "ss.txt"
+        f.write_text(WIDE_INPUTS)
+
+        def no_minors(*args):
+            raise AssertionError("a minor was enumerated past the guard")
+
+        monkeypatch.setattr(oracle, "minor_gcd", no_minors)
+        code, out, _ = run(capsys, "statespace", "--json", str(f))
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["state_connectivity"] == [True] * 5 + [False]
+        assert obj["cross_check_disagreement"] is None
+        # a disagreeing Kalman check shows which checks ran: the zero set did not
+        monkeypatch.setattr(cli, "kalman_controllable", lambda *args: True)
+        code, out, _ = run(capsys, "statespace", "--json", str(f))
+        assert code == 1
+        assert json.loads(out)["cross_check_disagreement"] == {"kalman_rank_full": True}
+
     def test_rejects_pattern_file(self, capsys):
         code, _, err = run(capsys, "statespace", str(FIXTURES / "wide_2x3.txt"))
         assert code == 2
@@ -218,6 +240,13 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--seeds=-3,0", str(FIXTURES / "wide_2x3.txt"))
         assert code == 0
         assert "seed -3: gcd degree 0" in out and "seed 0:" in out
+
+    def test_minor_count_guard_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "ss.txt"
+        f.write_text(WIDE_INPUTS)
+        code, out, err = run(capsys, "oracle", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: minor enumeration guarded at 10000 minors, pattern is 6x26 with 230230 minors of order 6\n"
 
     def test_json(self, capsys):
         _, out, _ = run(capsys, "oracle", "--json", str(FIXTURES / "autonomous_1x1.txt"))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from structctrl import (
     ExactMatrix,
-    ExactPoly,
     GuardLimitError,
     PolyPattern,
     StateSpacePattern,
@@ -29,7 +28,9 @@ from structctrl import (
 from structctrl import oracle
 
 from fixture_patterns import (
+    ExactPoly,
     chain_ss,
+    dense_grid,
     det_bareiss,
     integrator_ss,
     minor_determinant,
@@ -39,6 +40,7 @@ from fixture_patterns import (
     reference_poly_gcd,
     relay_ss,
     shared_drive_ss,
+    wide_2x3,
 )
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -50,17 +52,20 @@ def P(*coeffs):
 
 def naive_cofactor_det(matrix: ExactMatrix, rows, cols) -> ExactPoly:
     """Reference determinant: plain unmemoized cofactor expansion."""
-    rows = sorted(rows)
-    cols = sorted(cols)
-    if not rows:
-        return ExactPoly.constant(1)
-    total = ExactPoly()
-    sign = 1
-    for idx, c in enumerate(cols):
-        sub = naive_cofactor_det(matrix, rows[1:], cols[:idx] + cols[idx + 1 :])
-        total = total + sign * (matrix.entry(rows[0], c) * sub)
-        sign = -sign
-    return total
+    grid = dense_grid(matrix)
+
+    def det(rows, cols):
+        if not rows:
+            return ExactPoly.constant(1)
+        total = ExactPoly()
+        sign = 1
+        for idx, c in enumerate(cols):
+            sub = det(rows[1:], cols[:idx] + cols[idx + 1 :])
+            total = total + sign * (grid[rows[0]][c] * sub)
+            sign = -sign
+        return total
+
+    return det(sorted(rows), sorted(cols))
 
 
 class TestExactPoly:
@@ -82,35 +87,36 @@ class TestExactPoly:
         assert a - a == P()
         assert 3 * a == P(3, 3)
 
-    def test_str(self):
-        assert str(P(2, -7, 3)) == "3s^2 - 7s + 2"
-        assert str(P()) == "0"
-        assert str(P(0, 1)) == "s"
-
     def test_primitive_part(self):
         assert P(6, -4, 2).primitive_part() == P(3, -2, 1)
 
 
 class TestPolyGcd:
     def test_common_linear_factor(self):
-        assert poly_gcd(P(-1, 0, 1), P(-1, 1)) == P(-1, 1)  # gcd(s^2-1, s-1) = s-1
+        assert poly_gcd((-1, 0, 1), (-1, 1)) == (-1, 1)  # gcd(s^2-1, s-1) = s-1
 
     def test_constant_against_poly(self):
-        assert poly_gcd(P(7), P(3, 1, 4)).degree == 0
+        assert poly_gcd((7,), (3, 1, 4)) == (1,)
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
-            poly_gcd(P(), P())
+            poly_gcd((), ())
+        with pytest.raises(ValueError):
+            poly_gcd((0, 0), [0])
 
     def test_one_zero(self):
-        assert poly_gcd(P(), P(2, 4)) == P(1, 2)
+        assert poly_gcd((), (2, 4)) == (1, 2)
+
+    def test_strips_trailing_zeros(self):
+        assert poly_gcd([0, 0], (2, 4, 0)) == (1, 2)
+        assert poly_gcd((-1, 0, 1, 0), [-1, 1, 0, 0]) == (-1, 1)
 
     def test_random_cubics_generically_coprime(self):
         for seed in SEEDS:
             rng = random.Random(seed)
-            a = ExactPoly([rng.choice((1, -1)) * rng.randint(1, 99) for _ in range(4)])
-            b = ExactPoly([rng.choice((1, -1)) * rng.randint(1, 99) for _ in range(4)])
-            assert poly_gcd(a, b).degree == 0
+            a = [rng.choice((1, -1)) * rng.randint(1, 99) for _ in range(4)]
+            b = [rng.choice((1, -1)) * rng.randint(1, 99) for _ in range(4)]
+            assert poly_gcd(a, b) == (1,)
 
 
 @st.composite
@@ -123,16 +129,16 @@ def nonzero_polys(draw, max_degree=4, bound=20):
 @settings(max_examples=150)
 @given(nonzero_polys(), nonzero_polys())
 def test_gcd_divides_both_and_is_symmetric(a, b):
-    g = poly_gcd(a, b)
-    poly_exact_div(a.primitive_part(), g)  # raises if not divisible
-    poly_exact_div(b.primitive_part(), g)
-    assert poly_gcd(b, a) == g
+    g = poly_gcd(a.coeffs, b.coeffs)
+    poly_exact_div(a.primitive_part(), ExactPoly(g))  # raises if not divisible
+    poly_exact_div(b.primitive_part(), ExactPoly(g))
+    assert poly_gcd(b.coeffs, a.coeffs) == g
 
 
 @settings(max_examples=100)
 @given(nonzero_polys(), nonzero_polys(), st.integers(1, 9))
 def test_gcd_degree_scale_invariant(a, b, k):
-    assert poly_gcd(a * k, b).degree == poly_gcd(a, b).degree
+    assert len(poly_gcd((a * k).coeffs, b.coeffs)) == len(poly_gcd(a.coeffs, b.coeffs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,7 +146,7 @@ def test_gcd_degree_scale_invariant(a, b, k):
 def test_gcd_matches_fraction_reference(a, b, common):
     if common is not None:  # plant a common factor
         a, b = a * common, b * common
-    assert poly_gcd(a, b) == reference_poly_gcd(a, b)
+    assert poly_gcd(a.coeffs, b.coeffs) == reference_poly_gcd(a, b).coeffs
 
 
 class TestExactDiv:
@@ -157,7 +163,9 @@ class TestExactDiv:
 
 
 def matrix_of(grid):
-    return ExactMatrix(len(grid), len(grid[0]), tuple(tuple(row) for row in grid))
+    """The sparse matrix of a grid of reference polynomials."""
+    triples = tuple((i, j, e.coeffs) for i, row in enumerate(grid) for j, e in enumerate(row) if e)
+    return ExactMatrix(len(grid), len(grid[0]), triples)
 
 
 class TestDeterminants:
@@ -192,18 +200,18 @@ class TestDeterminants:
 class TestInstantiate:
     def test_constant_entry(self):
         m = instantiate(PolyPattern(1, 1, {(0, 0): 0}), seed=3)
-        e = m.entry(0, 0)
-        assert e.degree == 0 and 1 <= abs(e.coeffs[0]) <= 99
+        ((i, j, coeffs),) = m.entries
+        assert (i, j) == (0, 0) and len(coeffs) == 1 and 1 <= abs(coeffs[0]) <= 99
 
     def test_degree_two_entry(self):
         m = instantiate(PolyPattern(1, 1, {(0, 0): 2}), seed=5)
-        e = m.entry(0, 0)
-        assert e.degree == 2
-        assert all(1 <= abs(c) <= 99 for c in e.coeffs)
+        ((_, _, coeffs),) = m.entries
+        assert len(coeffs) == 3
+        assert all(1 <= abs(c) <= 99 for c in coeffs)
 
     def test_absent_entries_are_zero(self):
         m = instantiate(PolyPattern(2, 2, {(0, 0): 0}), seed=0)
-        assert m.entry(1, 1).is_zero
+        assert [(i, j) for i, j, _ in m.entries] == [(0, 0)]
 
     def test_deterministic(self):
         p = PolyPattern(2, 3, {(0, 1): 2, (1, 0): 1})
@@ -215,9 +223,41 @@ class TestInstantiate:
         strict = strict_monomial_entries(ss)
         assert strict == frozenset({(0, 0), (2, 2)})  # diagonal states without self-coupling
         m = instantiate(pencil, seed=1, strict_monomials=strict)
-        assert m.entry(0, 0) == P(0, 1)  # exactly s
-        assert m.entry(2, 2) == P(0, 1)
-        assert m.entry(1, 1).degree == 1 and m.entry(1, 1) != P(0, 1)
+        e = {(i, j): coeffs for i, j, coeffs in m.entries}
+        assert e[0, 0] == (0, 1)  # exactly s
+        assert e[2, 2] == (0, 1)
+        assert len(e[1, 1]) == 2 and e[1, 1] != (0, 1)
+
+    def test_rejects_out_of_range_entry(self):
+        with pytest.raises(ValueError, match="out of range for a 2x3 matrix"):
+            ExactMatrix(2, 3, ((0, 0, (1,)), (2, 0, (1,))))
+        with pytest.raises(ValueError, match="out of range"):
+            ExactMatrix(2, 3, ((0, -1, (1,)),))
+
+    # Literal draws, taken from the dense-grid instantiate that preceded the
+    # sparse triples.  Gcd degrees do not notice a change of draw order;
+    # these do.
+    @pytest.mark.parametrize(
+        "seed, entries",
+        [
+            (0, ((0, 1, (-98, -6)), (0, 2, (-66,)), (1, 0, (-52, -62, -75)), (1, 1, (65,)), (1, 2, (37, 97)))),
+            (1, ((0, 1, (73, 33)), (0, 2, (64,)), (1, 0, (-61, -27, 63)), (1, 1, (50,)), (1, 2, (-78, 90)))),
+        ],
+    )
+    def test_pinned_draws_wide_2x3(self, seed, entries):
+        assert instantiate(wide_2x3(), seed).entries == entries
+
+    def test_pinned_draws_shared_drive_strict(self):
+        ss = shared_drive_ss()
+        m = instantiate(controllability_pencil(ss), seed=0, strict_monomials=strict_monomial_entries(ss))
+        assert m.entries == (
+            (0, 0, (0, 1)),
+            (0, 1, (-98,)),
+            (1, 1, (-6, -66)),
+            (1, 3, (-52,)),
+            (2, 1, (-62,)),
+            (2, 2, (0, 1)),
+        )
 
 
 class TestZeroSet:
@@ -249,6 +289,28 @@ class TestZeroSet:
         at_guard = PolyPattern(6, 6, {(i, i): 0 for i in range(6)})
         assert zero_set_empty(at_guard, (0,)) is True
 
+    def test_guards_run_before_the_matching(self, monkeypatch):
+        def no_matching(*args):
+            raise AssertionError("matching ran before the guard")
+
+        monkeypatch.setattr(oracle, "build_graph", no_matching)
+        with pytest.raises(ValueError, match="term rank 0"):
+            zero_set_empty(PolyPattern(40_000, 40_000, {}), SEEDS)
+        big = PolyPattern(40_000, 40_000, {(i, i): 0 for i in range(0, 40_000, 100)})
+        with pytest.raises(GuardLimitError, match="guarded at dimension 6, pattern is 40000x40000"):
+            zero_set_empty(big, SEEDS)
+
+    def test_minor_count_guard(self):
+        assert oracle.ZERO_SET_MAX_MINORS == 10_000
+        # 6x26 at term rank 6: C(26, 6) = 230,230 maximal minors
+        wide = PolyPattern(6, 26, {(i, j): 0 for i in range(6) for j in range(26)})
+        with pytest.raises(GuardLimitError, match="guarded at 10000 minors, pattern is 6x26 with 230230 minors of order 6"):
+            zero_set_gcd_degrees(wide, SEEDS)
+        # 6x16: C(16, 6) = 8,008 minors, under the cap; term rank 2 of a 6x26: 15 * 325 = 4,875
+        assert zero_set_empty(PolyPattern(6, 16, {(i, i): 0 for i in range(6)}), (0,)) is True
+        low_rank = PolyPattern(6, 26, {(i, j): 0 for i in range(6) for j in range(2)})
+        assert zero_set_gcd_degrees(low_rank, (0,)) == [0]
+
     def test_minor_gcd_none_when_rank_collapses(self):
         zero = ExactPoly()
         m = matrix_of([[P(1), zero], [P(1), zero]])
@@ -272,15 +334,15 @@ def test_zero_set_empty_stops_at_first_certifying_seed(pattern_seed, seeds):
     assert tried == seeds[: degrees.index(0) + 1 if empty else len(seeds)]
 
 
-def reference_minor_gcd(matrix: ExactMatrix, size: int) -> ExactPoly | None:
+def reference_minor_gcd(matrix: ExactMatrix, size: int) -> tuple[int, ...] | None:
     """Gcd of every size-by-size minor, each expanded on its own; None if all vanish."""
     acc = None
     for rows in combinations(range(matrix.rows), size):
         for cols in combinations(range(matrix.cols), size):
             d = minor_determinant(matrix, rows, cols)
             if not d.is_zero:
-                acc = poly_gcd(d, ExactPoly()) if acc is None else poly_gcd(acc, d)
-                if acc.degree == 0:
+                acc = poly_gcd(d.coeffs, () if acc is None else acc)
+                if len(acc) == 1:
                     return acc  # a constant divides every later minor too
     return acc
 
