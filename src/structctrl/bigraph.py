@@ -6,11 +6,11 @@ entry degree.  A weight of 0 is still an edge (constant entry); no edge means
 the entry is identically zero.
 
 Graph values are immutable after construction and all functions here are
-pure, so they are safe to share across threads.  Only the public
-``WeightedBigraph`` constructor checks its input; ``build_graph`` and the
-reduction pass edges that a ``PolyPattern`` or an earlier graph has already
-checked and sorted straight to the unchecked builder.  A graph keeps no
-weight map: ``weight`` reads the sorted edge tuple by bisection.  One
+pure, so they are safe to share across threads.  The one constructor checks
+nothing: it takes edges that are already in range, unique and sorted, which
+``build_graph`` reads off a ``PolyPattern`` (checked by the pattern or the
+parser) and the reduction keeps in order from such a graph.  So every edge is
+checked once, before any graph exists, and no raw edge list is public.  One
 maximum-matching search, Pothen and Fan's depth-first augmenting search with
 lookahead, serves ``term_rank`` and the reduction; it returns the mates of
 each row and column as plain lists.
@@ -18,12 +18,9 @@ each row and column as plain lists.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .patterns import PolyPattern
 
 __all__ = [
-    "WeightedBigraph",
     "build_graph",
     "term_rank",
 ]
@@ -34,55 +31,25 @@ _UNMATCHED = -1
 class WeightedBigraph:
     """Bipartite graph with non-negative integer edge weights.
 
-    Edges are unique per (row vertex, column vertex) pair and kept sorted, so
-    two graphs built from the same edge set compare equal regardless of input
-    order, and every algorithm below is deterministic.
+    ``edges`` holds (row, column, weight) triples, unique per (row, column)
+    pair, in range and sorted; the constructor trusts all three.  So two
+    graphs with the same edge set compare equal, and every algorithm below
+    is deterministic.
     """
 
     __slots__ = ("r_count", "c_count", "edges", "r_adj", "c_adj")
 
     def __init__(self, r_count: int, c_count: int, edges):
-        if r_count < 1 or c_count < 1:
-            raise ValueError(f"vertex counts must be positive, got {r_count}, {c_count}")
-        weights: dict[tuple[int, int], int] = {}
-        for r, c, w in edges:
-            if not (0 <= r < r_count and 0 <= c < c_count):
-                raise ValueError(f"edge ({r},{c}) out of range")
-            if w < 0:
-                raise ValueError(f"edge ({r},{c}) has negative weight {w}")
-            if (r, c) in weights:
-                raise ValueError(f"duplicate edge ({r},{c})")
-            weights[(r, c)] = w
-        self._fill(r_count, c_count, tuple(sorted([(r, c, w) for (r, c), w in weights.items()])))
-
-    @classmethod
-    def _from_sorted(cls, r_count: int, c_count: int, edges) -> WeightedBigraph:
-        """Graph on edges that are already in range, unique and sorted; checks nothing."""
-        g = cls.__new__(cls)
-        g._fill(r_count, c_count, tuple(edges))
-        return g
-
-    def _fill(self, r_count: int, c_count: int, edges: tuple[tuple[int, int, int], ...]):
         self.r_count = r_count
         self.c_count = c_count
-        self.edges = edges
+        self.edges = tuple(edges)
         r_adj = [[] for _ in range(r_count)]
         c_adj = [[] for _ in range(c_count)]
-        for r, c, _ in edges:
+        for r, c, _ in self.edges:
             r_adj[r].append(c)
             c_adj[c].append(r)
         self.r_adj = tuple(tuple(cs) for cs in r_adj)
         self.c_adj = tuple(tuple(rs) for rs in c_adj)
-
-    def has_edge(self, r: int, c: int) -> bool:
-        # The range check keeps a negative row from reading r_adj from the end.
-        return 0 <= r < self.r_count and c in self.r_adj[r]
-
-    def weight(self, r: int, c: int) -> int:
-        i = bisect_left(self.edges, (r, c))  # (r, c) sorts just before (r, c, w)
-        if i < len(self.edges) and self.edges[i][:2] == (r, c):
-            return self.edges[i][2]
-        raise KeyError((r, c))
 
     def __eq__(self, other):
         if not isinstance(other, WeightedBigraph):
@@ -98,7 +65,7 @@ class WeightedBigraph:
 
 def build_graph(pattern: PolyPattern) -> WeightedBigraph:
     """Graph of a pattern: one edge per entry, weight = entry degree."""
-    return WeightedBigraph._from_sorted(pattern.rows, pattern.cols, pattern.sorted_entries())
+    return WeightedBigraph(pattern.rows, pattern.cols, pattern.sorted_entries())
 
 
 def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int], list[int]]:

@@ -23,7 +23,7 @@ from pathlib import Path
 from .bigraph import build_graph
 from .decision import AnalysisReport, analyze, analyze_reduction
 from .errors import GuardLimitError
-from .oracle import kalman_controllable, zero_set_empty, zero_set_gcd_degrees
+from .oracle import DEFAULT_COEFF_BOUND, kalman_controllable, zero_set_empty, zero_set_gcd_degrees
 from .patterns import (
     PolyPattern,
     emit_pattern,
@@ -125,10 +125,9 @@ def cmd_statespace(args) -> int:
         try:  # a check past its size guard is left out of cross
             cross["kalman_rank_full"] = kalman_controllable(ss, args.seeds, args.coeff_range)
             strict = strict_monomial_entries(ss)
-            pencil = controllability_pencil(ss)
-            generic = cross["zero_set_empty_generic"] = zero_set_empty(pencil, args.seeds, args.coeff_range)
+            generic = cross["zero_set_empty_generic"] = zero_set_empty(rep.pencil, args.seeds, args.coeff_range)
             # with no forced monomial the strict call is the generic call
-            cross["zero_set_empty_strict"] = zero_set_empty(pencil, args.seeds, args.coeff_range, strict) if strict else generic
+            cross["zero_set_empty_strict"] = zero_set_empty(rep.pencil, args.seeds, args.coeff_range, strict) if strict else generic
         except GuardLimitError:
             pass
         if cross.get("kalman_rank_full", rep.controllable) == cross.get("zero_set_empty_generic", rep.controllable) == rep.controllable:
@@ -241,7 +240,7 @@ def cmd_bench(args) -> int:
         t1 = time.perf_counter()
         rg = remove_redundant_edges(g)
         reduce_s = time.perf_counter() - t1
-        report = analyze_reduction(g, rg)
+        report = analyze_reduction(rg)
         total_s = time.perf_counter() - t0
         results.append(
             BenchResult(
@@ -315,13 +314,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ss = sub.add_parser("statespace", parents=[common], help="verdict for a statespace file")
     p_ss.add_argument("file", help="statespace file, or - for stdin")
     p_ss.add_argument("--seeds", type=_int_list(None), default=DEFAULT_SEEDS, help="seeds for the numeric cross-checks" + negative)
-    p_ss.add_argument("--coeff-range", type=_int_at_least(1), default=99, help="coefficient magnitude bound")
+    p_ss.add_argument("--coeff-range", type=_int_at_least(1), default=DEFAULT_COEFF_BOUND, help="coefficient magnitude bound")
     p_ss.set_defaults(func=cmd_statespace)
 
     p_or = sub.add_parser("oracle", parents=[common], help="exact zero-set test for a pattern or statespace file")
     p_or.add_argument("file", help="pattern or statespace file, or - for stdin")
     p_or.add_argument("--seeds", type=_int_list(None), default=DEFAULT_SEEDS, help="comma-separated instantiation seeds" + negative)
-    p_or.add_argument("--coeff-range", type=_int_at_least(1), default=99, help="coefficient magnitude bound")
+    p_or.add_argument("--coeff-range", type=_int_at_least(1), default=DEFAULT_COEFF_BOUND, help="coefficient magnitude bound")
     p_or.add_argument("--mode", choices=("generic", "statespace_strict"), default="generic")
     p_or.set_defaults(func=cmd_oracle)
 

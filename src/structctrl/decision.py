@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bigraph import WeightedBigraph, build_graph, term_rank
+from .bigraph import build_graph, term_rank
 from .errors import ZeroTermRankError
 from .patterns import PolyPattern
 from .reduction import Component, ReducedGraph, connected_components, remove_redundant_edges
@@ -80,8 +80,8 @@ def generic_unimodular(pattern: PolyPattern) -> bool:
     return rg.base_rank == pattern.rows and all(w == 0 for _, _, w in rg.graph.edges)
 
 
-def analyze_reduction(g: WeightedBigraph, rg: ReducedGraph) -> AnalysisReport:
-    """Assemble the verdict report from a graph and its reduction."""
+def analyze_reduction(rg: ReducedGraph) -> AnalysisReport:
+    """Assemble the verdict report from a graph's reduction."""
     comps = tuple(connected_components(rg))
 
     witness = None
@@ -94,7 +94,7 @@ def analyze_reduction(g: WeightedBigraph, rg: ReducedGraph) -> AnalysisReport:
 
     return AnalysisReport(
         verdict=UNCONTROLLABLE if witness else CONTROLLABLE,
-        minimal=rg.base_rank == g.r_count,
+        minimal=rg.base_rank == rg.graph.r_count,
         term_rank=rg.base_rank,
         redundant_edges=tuple((r, c) for r, c, _ in rg.redundant),
         components=comps,
@@ -111,5 +111,4 @@ def analyze(pattern: PolyPattern) -> AnalysisReport:
     g = build_graph(pattern)
     if not g.edges:
         raise ZeroTermRankError("pattern has no entries; no equations effectively present")
-    rg = remove_redundant_edges(g)
-    return analyze_reduction(g, rg)
+    return analyze_reduction(remove_redundant_edges(g))

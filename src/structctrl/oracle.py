@@ -20,7 +20,9 @@ Kalman test draws integers too, but ranks them in the field of the prime
 2^61 - 1, through the Krylov closure of B under A: rank n mod the prime
 certifies rank n over Q, and a deficient answer is one-sided, like a
 "nonempty" zero set.  Both checks are guarded: the zero-set test at
-min(p, v) <= ZERO_SET_MAX_DIM and at most ZERO_SET_MAX_MINORS maximal
+min(p, v) <= ZERO_SET_MAX_DIM, at most ZERO_SET_MAX_COEFFS coefficients
+drawn per instance (the sum of degree + 1 over the entries, which also
+bounds every minor's degree) and at most ZERO_SET_MAX_MINORS maximal
 minors, the Kalman test at n <= KALMAN_MAX_STATES; past a guard they raise
 GuardLimitError.
 """
@@ -39,7 +41,6 @@ from .patterns import PolyPattern, StateSpacePattern
 
 __all__ = [
     "ExactMatrix",
-    "poly_gcd",
     "instantiate",
     "minor_gcd",
     "zero_set_empty",
@@ -50,6 +51,7 @@ __all__ = [
 DEFAULT_COEFF_BOUND = 99
 ZERO_SET_MAX_DIM = 6
 ZERO_SET_MAX_MINORS = 10_000  # C(p, r) * C(v, r) maximal minors, enumerated per seed
+ZERO_SET_MAX_COEFFS = 25_000  # sum of (degree + 1) over the entries: coefficients drawn per seed
 KALMAN_MAX_STATES = 12
 _PRIME = 2**61 - 1  # the Kalman rank is taken in this field
 
@@ -84,25 +86,17 @@ def _gcd(a, b) -> list[int]:
 
     Uses the primitive-remainder Euclidean sequence: pseudo-divide, strip
     the integer content each step, so coefficients never leave the integers
-    and never blow up through rational arithmetic.
+    and never blow up through rational arithmetic.  The sequence stops at
+    the first constant remainder, whose gcd with anything is 1.
     """
     f, g = _primitive(a), _primitive(b)
     if len(f) < len(g):
         f, g = g, f
-    while g:
+    while len(g) > 1:
         f, g = g, _primitive(_pseudo_rem(f, g))
+    if g:  # a nonzero constant divides f; pseudo-dividing by it would take deg f steps
+        return [1]
     return f if f[-1] > 0 else [-c for c in f]
-
-
-def poly_gcd(a, b) -> tuple[int, ...]:
-    """Gcd over the rationals of two ascending coefficient sequences, not both zero, as its positive primitive tuple."""
-    a, b = list(a), list(b)
-    for cs in (a, b):
-        while cs and cs[-1] == 0:
-            cs.pop()
-    if not a and not b:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    return tuple(_gcd(a, b))
 
 
 @dataclass(frozen=True)
@@ -218,12 +212,15 @@ def minor_gcd(matrix: ExactMatrix, size: int) -> tuple[int, ...] | None:
 
 def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound, strict_monomials) -> Iterator[int]:
     """Check the arguments, then lazily yield each seed's maximal-minor gcd degree (-1: every minor vanishes)."""
-    if not pattern.entries:  # term rank 0; checked, like the dimension, before the matching
+    if not pattern.entries:  # term rank 0; checked, like the size guards, before the matching
         raise ValueError("pattern has term rank 0; zero-set test undefined")
     if min(pattern.rows, pattern.cols) > ZERO_SET_MAX_DIM:
         raise GuardLimitError(
             f"minor enumeration guarded at dimension {ZERO_SET_MAX_DIM}, pattern is {pattern.rows}x{pattern.cols}"
         )
+    coeffs = sum(pattern.entries.values()) + len(pattern.entries)  # also bounds every minor's degree
+    if coeffs > ZERO_SET_MAX_COEFFS:
+        raise GuardLimitError(f"instantiation guarded at {ZERO_SET_MAX_COEFFS} coefficients, pattern draws {coeffs}")
     rank = term_rank(build_graph(pattern))
     minors = math.comb(pattern.rows, rank) * math.comb(pattern.cols, rank)
     if minors > ZERO_SET_MAX_MINORS:

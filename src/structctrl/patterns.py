@@ -5,12 +5,16 @@ entries are nonzero and the degree of each nonzero entry.  Degree 0 means
 "nonzero constant"; an absent entry means "identically zero".  The two are
 deliberately distinct: a constant still couples an equation to a variable.
 
-Text formats (UTF-8, LF line endings, '#' starts a comment, blank lines
-ignored, indices 1-based):
+Text formats (UTF-8, LF line endings, indices 1-based; blank lines and
+whole-line comments, whose first token starts with '#', are ignored; a '#'
+later in a line is an ordinary token, so it makes a wrong token count):
 
     pattern <p> <v>          statespace <n> <m>
     entry <i> <j> <degree>   a <i> <j>
     ...                      b <i> <k>
+
+A header may ask for at most MAX_VERTICES graph vertices: p + v for a
+pattern, 2n + m for the pencil [sI - A  B] of a statespace file.
 
 Internally all indices are 0-based.
 """
@@ -31,6 +35,8 @@ __all__ = [
     "emit_pattern",
     "emit_statespace",
 ]
+
+MAX_VERTICES = 1_000_000  # graph vertices one header may ask for; each costs about 0.7 KB
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +142,17 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 def parse_pattern(text: str) -> PolyPattern:
     """Parse pattern text into a PolyPattern.
 
-    Rejects (never repairs): missing/duplicate header, unknown keywords,
-    wrong token counts, duplicate entries, out-of-range indices, negative
-    degrees.  Errors carry the offending line number.
+    Rejects (never repairs): missing/duplicate header, a header past
+    MAX_VERTICES, unknown keywords, wrong token counts, duplicate entries,
+    out-of-range indices, negative degrees.  Errors carry the offending
+    line number.
     """
     lines = text.splitlines()
     header, rows, cols = _header(lines, "pattern <p> <v>", "row count", "column count")
     if rows < 1 or cols < 1:
         raise PatternFormatError(f"dimensions must be positive, got {rows} {cols}", header)
+    if rows + cols > MAX_VERTICES:
+        raise PatternFormatError(f"{rows}x{cols} pattern has {rows + cols} vertices, guarded at {MAX_VERTICES}", header)
 
     entries: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(lines[header:], start=header + 1):
@@ -176,6 +185,8 @@ def parse_statespace(text: str) -> StateSpacePattern:
         raise PatternFormatError(f"state count must be positive, got {n}", header)
     if m < 0:
         raise PatternFormatError(f"input count must be non-negative, got {m}", header)
+    if 2 * n + m > MAX_VERTICES:
+        raise PatternFormatError(f"pencil of n={n}, m={m} has {2 * n + m} vertices, guarded at {MAX_VERTICES}", header)
 
     a_entries: set[tuple[int, int]] = set()
     b_entries: set[tuple[int, int]] = set()

@@ -148,7 +148,7 @@ def remove_redundant_edges(g: WeightedBigraph) -> ReducedGraph:
             removed.append((r, c, w))
 
     # g.edges is checked and sorted, so kept and removed already are.
-    reduced = WeightedBigraph._from_sorted(g.r_count, g.c_count, kept)
+    reduced = WeightedBigraph(g.r_count, g.c_count, kept)
     return ReducedGraph(graph=reduced, redundant=tuple(removed), base_rank=rank)
 
 

@@ -36,10 +36,11 @@ INTERCONNECTION_KINDS = ("series", "parallel", "feedback")
 
 @dataclass(frozen=True)
 class StateSpaceReport:
-    """Pattern-level report plus the per-state input-connectivity table."""
+    """Report on the pencil [sI - A  B], its per-state input-connectivity table, and the pencil itself."""
 
     base: AnalysisReport
     state_connectivity: tuple[bool, ...]
+    pencil: PolyPattern
 
     @property
     def controllable(self) -> bool:
@@ -64,7 +65,8 @@ def strict_monomial_entries(ss: StateSpacePattern) -> frozenset[tuple[int, int]]
 
 def analyze_statespace(ss: StateSpacePattern) -> StateSpaceReport:
     """Analyze [sI - A  B] and tabulate which states reach an input vertex."""
-    base = analyze(controllability_pencil(ss))
+    pencil = controllability_pencil(ss)
+    base = analyze(pencil)
     # The components partition the columns, so one pass marks every state.
     connected = [False] * ss.n
     for comp in base.components:
@@ -72,7 +74,7 @@ def analyze_statespace(ss: StateSpacePattern) -> StateSpaceReport:
             for col in comp.cols:
                 if col < ss.n:
                     connected[col] = True
-    return StateSpaceReport(base=base, state_connectivity=tuple(connected))
+    return StateSpaceReport(base=base, state_connectivity=tuple(connected), pencil=pencil)
 
 
 def controller_canonical(n: int) -> StateSpacePattern:

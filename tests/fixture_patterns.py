@@ -17,14 +17,13 @@ from structctrl import (
     PolyPattern,
     ReducedGraph,
     StateSpacePattern,
-    WeightedBigraph,
     Witness,
     analyze,
     build_graph,
     remove_redundant_edges,
     term_rank,
 )
-from structctrl.bigraph import _UNMATCHED, _max_matching_pairs
+from structctrl.bigraph import _UNMATCHED, WeightedBigraph, _max_matching_pairs
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,11 @@ class Matching:
 
     def c_set(self) -> frozenset[int]:
         return frozenset(c for _, c in self.pairs)
+
+
+def graph(r: int, c: int, edges) -> WeightedBigraph:
+    """Graph on (row, column, weight) triples in any order, checked and sorted by the pattern it goes through."""
+    return build_graph(PolyPattern(r, c, {(i, j): w for i, j, w in edges}))
 
 
 def max_matching(g: WeightedBigraph) -> Matching:
@@ -111,15 +115,17 @@ def same_graph(a: WeightedBigraph, b: WeightedBigraph) -> bool:
     """Equal as values, with adjacency lists and weights that match the edges.
 
     The adjacency lists are derived here from the edge tuple, so a fault in
-    the one builder both constructors share still shows.
+    the constructor's own derivation still shows.
     """
     rows = tuple(tuple(c for r, c, _ in b.edges if r == x) for x in range(b.r_count))
     cols = tuple(tuple(r for r, c, _ in b.edges if c == y) for y in range(b.c_count))
+    weights = {(r, c): w for r, c, w in b.edges}
     return (
         a == b
         and a.r_adj == b.r_adj == rows
         and a.c_adj == b.c_adj == cols
-        and all(a.weight(r, c) == w == b.weight(r, c) for r, c, w in b.edges)
+        and {(r, c): w for r, c, w in a.edges} == weights
+        and len(weights) == len(b.edges)
     )
 
 
@@ -132,9 +138,9 @@ def edge_is_redundant(g: WeightedBigraph, edge: tuple[int, int], rank: int) -> b
     only for checking the linear-time classifier on test-sized graphs.
     """
     r, c = edge
-    if not g.has_edge(r, c):
+    if not any(e[:2] == edge for e in g.edges):
         raise ValueError(f"edge ({r},{c}) not present in graph")
-    rest = WeightedBigraph(g.r_count, g.c_count, [e for e in g.edges if e[0] != r and e[1] != c])
+    rest = graph(g.r_count, g.c_count, [e for e in g.edges if e[0] != r and e[1] != c])
     return term_rank(rest) < rank - 1
 
 
@@ -148,7 +154,7 @@ def reference_reduction(g: WeightedBigraph) -> ReducedGraph:
     matched = max_matching(g).pairs
     redundant = tuple(e for e in g.edges if (e[0], e[1]) not in matched and edge_is_redundant(g, (e[0], e[1]), rank))
     kept = [e for e in g.edges if e not in redundant]
-    return ReducedGraph(graph=WeightedBigraph(g.r_count, g.c_count, kept), redundant=redundant, base_rank=rank)
+    return ReducedGraph(graph=graph(g.r_count, g.c_count, kept), redundant=redundant, base_rank=rank)
 
 
 class _DisjointSet:

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from structctrl import (
     GuardLimitError,
     PolyPattern,
-    WeightedBigraph,
     build_graph,
     term_rank,
 )
-from structctrl.bigraph import _UNMATCHED, _max_matching_pairs
+from structctrl.bigraph import _UNMATCHED, WeightedBigraph, _max_matching_pairs
 
-from fixture_patterns import Matching, matchings_of_size, max_matching, same_graph, wide_2x3
+from fixture_patterns import Matching, graph, matchings_of_size, max_matching, same_graph, wide_2x3
 from test_patterns import patterns
 from test_reduction import pencil_graphs, seeded_large_graphs, weighted_graphs
 
@@ -24,10 +23,11 @@ def brute_force_max_matching(g: WeightedBigraph) -> int:
     """Independent oracle: largest k over all injective row-to-column maps."""
     best = 0
     rows = range(g.r_count)
+    edges = {(r, c) for r, c, _ in g.edges}
     for size in range(min(g.r_count, g.c_count), 0, -1):
         for row_subset in itertools.combinations(rows, size):
             for cols in itertools.permutations(range(g.c_count), size):
-                if all(g.has_edge(r, c) for r, c in zip(row_subset, cols)):
+                if all((r, c) in edges for r, c in zip(row_subset, cols)):
                     return size
     return best
 
@@ -35,9 +35,8 @@ def brute_force_max_matching(g: WeightedBigraph) -> int:
 class TestBuildGraph:
     def test_wide_2x3(self):
         g = build_graph(wide_2x3())
-        assert (g.r_count, g.c_count, len(g.edges)) == (2, 3, 5)
-        assert g.weight(0, 1) == 1
-        assert g.weight(1, 0) == 2
+        assert (g.r_count, g.c_count) == (2, 3)
+        assert g.edges == ((0, 1, 1), (0, 2, 0), (1, 0, 2), (1, 1, 0), (1, 2, 1))
 
     def test_empty_pattern(self):
         g = build_graph(PolyPattern(2, 2, {}))
@@ -47,17 +46,9 @@ class TestBuildGraph:
         g = build_graph(PolyPattern(3, 3, {(0, 0): 0, (1, 1): 1, (2, 2): 2}))
         assert g.edges == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
 
-    def test_rejects_duplicates_and_bad_values(self):
-        with pytest.raises(ValueError):
-            WeightedBigraph(2, 2, [(0, 0, 1), (0, 0, 2)])
-        with pytest.raises(ValueError):
-            WeightedBigraph(2, 2, [(0, 3, 1)])
-        with pytest.raises(ValueError):
-            WeightedBigraph(2, 2, [(0, 0, -1)])
-
     def test_edge_order_does_not_matter(self):
         edges = [(0, 1, 1), (1, 0, 0), (1, 2, 2)]
-        assert WeightedBigraph(2, 3, edges) == WeightedBigraph(2, 3, list(reversed(edges)))
+        assert graph(2, 3, edges) == graph(2, 3, list(reversed(edges)))
 
 
 class TestMaxMatching:
@@ -70,7 +61,7 @@ class TestMaxMatching:
         assert max_matching(g) == m
 
     def test_no_edges(self):
-        assert len(max_matching(WeightedBigraph(2, 2, []))) == 0
+        assert len(max_matching(graph(2, 2, []))) == 0
 
     def test_full_4x4(self):
         pattern = PolyPattern(4, 4, {(i, j): 0 for i in range(4) for j in range(4)})
@@ -96,7 +87,7 @@ class TestTermRank:
         assert term_rank(build_graph(wide_2x3())) == 2
 
     def test_no_edges(self):
-        assert term_rank(WeightedBigraph(3, 3, [])) == 0
+        assert term_rank(graph(3, 3, [])) == 0
 
     def test_two_rows_one_column(self):
         assert term_rank(build_graph(PolyPattern(2, 1, {(0, 0): 0, (1, 0): 0}))) == 1
@@ -114,7 +105,7 @@ class TestMatchingEnumeration:
         ]
 
     def test_size_zero(self):
-        ms = matchings_of_size(WeightedBigraph(2, 2, []), 0)
+        ms = matchings_of_size(graph(2, 2, []), 0)
         assert ms == [Matching(frozenset())]
 
     def test_diagonal_unique_perfect_matching(self):
@@ -124,7 +115,7 @@ class TestMatchingEnumeration:
         assert ms[0].sorted_pairs() == ((0, 0), (1, 1), (2, 2))
 
     def test_guard(self):
-        g = WeightedBigraph(9, 2, [(0, 0, 0)])
+        g = graph(9, 2, [(0, 0, 0)])
         with pytest.raises(GuardLimitError):
             matchings_of_size(g, 1)
         assert matchings_of_size(g, 1, max_rows=9)  # guard is configurable
@@ -140,7 +131,7 @@ def small_graphs(draw):
     c = draw(st.integers(1, 5))
     cells = [(i, j) for i in range(r) for j in range(c)]
     chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
-    return WeightedBigraph(r, c, [(i, j, 0) for i, j in chosen])
+    return graph(r, c, [(i, j, 0) for i, j in chosen])
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,8 +144,10 @@ def test_max_matching_equals_enumeration_maximum(g):
 
 @settings(max_examples=200, deadline=None)
 @given(patterns())
-def test_build_graph_equals_checked_constructor(p):
-    assert same_graph(build_graph(p), WeightedBigraph(p.rows, p.cols, p.sorted_entries()))
+def test_build_graph_adjacency_follows_edges(p):
+    g = build_graph(p)
+    assert {(r, c): w for r, c, w in g.edges} == p.entries
+    assert same_graph(g, build_graph(PolyPattern(p.rows, p.cols, dict(reversed(p.entries.items())))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,32 +160,16 @@ def test_term_rank_bounded_by_dimensions(g):
 @given(small_graphs(), st.randoms(use_true_random=False))
 def test_term_rank_edge_monotonicity(g, rng):
     base = term_rank(g)
-    free = [(i, j) for i in range(g.r_count) for j in range(g.c_count) if not g.has_edge(i, j)]
+    edges = {(r, c) for r, c, _ in g.edges}
+    free = [(i, j) for i in range(g.r_count) for j in range(g.c_count) if (i, j) not in edges]
     if free:
         extra = rng.choice(free)
-        bigger = WeightedBigraph(g.r_count, g.c_count, list(g.edges) + [(extra[0], extra[1], 0)])
+        bigger = graph(g.r_count, g.c_count, list(g.edges) + [(extra[0], extra[1], 0)])
         assert term_rank(bigger) >= base
     if g.edges:
         dropped = rng.choice(g.edges)
-        smaller = WeightedBigraph(g.r_count, g.c_count, [e for e in g.edges if e != dropped])
+        smaller = graph(g.r_count, g.c_count, [e for e in g.edges if e != dropped])
         assert term_rank(smaller) <= base
-
-
-@settings(max_examples=200, deadline=None)
-@given(patterns(), st.data())
-def test_has_edge_and_weight_match_edge_dict(p, data):
-    g = build_graph(p)
-    weights = {(r, c): w for r, c, w in g.edges}
-    index = st.tuples(st.integers(-3, g.r_count + 2), st.integers(-3, g.c_count + 2))
-    # (-1, c) for each column of the last row: r_adj[-1] must not answer for a negative row.
-    probes = list(weights) + [(-1, c) for c in g.r_adj[-1]] + data.draw(st.lists(index, max_size=20))
-    for r, c in probes:
-        assert g.has_edge(r, c) == ((r, c) in weights)
-        if (r, c) in weights:
-            assert g.weight(r, c) == weights[(r, c)]
-        else:
-            with pytest.raises(KeyError):
-                g.weight(r, c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -206,7 +183,8 @@ def test_matching_is_maximum(g):
     """
     size, pair_r, pair_c = _max_matching_pairs(g)
     pairs = [(r, c) for r, c in enumerate(pair_r) if c != _UNMATCHED]
-    assert all(g.has_edge(r, c) and pair_c[c] == r for r, c in pairs)
+    edges = {(r, c) for r, c, _ in g.edges}
+    assert all((r, c) in edges and pair_c[c] == r for r, c in pairs)
     assert size == len(pairs) == sum(r != _UNMATCHED for r in pair_c)
     # Alternating search from the free rows: any edge to a column, then the column's mate.
     reached = [False] * g.c_count

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from structctrl import PolyPattern, cli, emit_pattern, oracle, parse_pattern
+from structctrl import PolyPattern, cli, decision, emit_pattern, oracle, parse_pattern, statespace
 from structctrl.cli import _build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -46,6 +46,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "/nonexistent/nowhere.txt")
         assert code == 2
         assert "error:" in err
+
+    def test_huge_header_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("pattern 100000000 1\n")
+        code, out, err = run(capsys, "analyze", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: 100000000x1 pattern has 100000001 vertices, guarded at 1000000\n"
 
     def test_empty_pattern_is_diagnostic(self, tmp_path, capsys):
         f = tmp_path / "empty.txt"
@@ -202,6 +209,35 @@ class TestStatespace:
         assert code == 1
         assert json.loads(out)["cross_check_disagreement"] == {"kalman_rank_full": True}
 
+    def test_one_pencil_per_op(self, capsys, monkeypatch):
+        calls = {"controllability_pencil": 0, "build_graph": 0}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def count(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, count)
+
+        for module in (statespace, cli):
+            counting(module, "controllability_pencil")
+        for module in (decision, oracle, cli):
+            counting(module, "build_graph")
+        code, _, _ = run(capsys, "statespace", "--json", str(FIXTURES / "ss_chain.txt"))
+        assert code == 0
+        # the analysis builds the one pencil and its graph; each zero-set call
+        # (generic, then strict: A_11 = A_22 = 0) builds a graph for its term rank
+        assert calls == {"controllability_pencil": 1, "build_graph": 3}
+
+    def test_huge_header_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "ss.txt"
+        f.write_text("statespace 1 100000000\n")
+        code, out, err = run(capsys, "statespace", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: pencil of n=1, m=100000000 has 100000002 vertices, guarded at 1000000\n"
+
     def test_rejects_pattern_file(self, capsys):
         code, _, err = run(capsys, "statespace", str(FIXTURES / "wide_2x3.txt"))
         assert code == 2
@@ -240,6 +276,13 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--seeds=-3,0", str(FIXTURES / "wide_2x3.txt"))
         assert code == 0
         assert "seed -3: gcd degree 0" in out and "seed 0:" in out
+
+    def test_coefficient_guard_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("pattern 1 1\nentry 1 1 1000000000\n")
+        code, out, err = run(capsys, "oracle", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: instantiation guarded at 25000 coefficients, pattern draws 1000000001\n"
 
     def test_minor_count_guard_exits_2(self, tmp_path, capsys):
         f = tmp_path / "ss.txt"

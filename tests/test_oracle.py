@@ -19,7 +19,6 @@ from structctrl import (
     instantiate,
     kalman_controllable,
     minor_gcd,
-    poly_gcd,
     strict_monomial_entries,
     zero_set_empty,
     zero_set_gcd_degrees,
@@ -48,6 +47,11 @@ SEEDS = (0, 1, 2, 3, 4)
 
 def P(*coeffs):
     return ExactPoly(coeffs)
+
+
+def gcd(a, b) -> tuple[int, ...] | None:
+    """Gcd of two stripped coefficient sequences, taken by minor_gcd as the 1x1 minors of the 1x2 matrix [a b]."""
+    return minor_gcd(ExactMatrix(1, 2, tuple((0, j, tuple(cs)) for j, cs in enumerate((a, b)) if cs)), 1)
 
 
 def naive_cofactor_det(matrix: ExactMatrix, rows, cols) -> ExactPoly:
@@ -93,30 +97,28 @@ class TestExactPoly:
 
 class TestPolyGcd:
     def test_common_linear_factor(self):
-        assert poly_gcd((-1, 0, 1), (-1, 1)) == (-1, 1)  # gcd(s^2-1, s-1) = s-1
+        assert gcd((-1, 0, 1), (-1, 1)) == (-1, 1)  # gcd(s^2-1, s-1) = s-1
 
     def test_constant_against_poly(self):
-        assert poly_gcd((7,), (3, 1, 4)) == (1,)
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            poly_gcd((), ())
-        with pytest.raises(ValueError):
-            poly_gcd((0, 0), [0])
+        assert gcd((7,), (3, 1, 4)) == (1,)
 
     def test_one_zero(self):
-        assert poly_gcd((), (2, 4)) == (1, 2)
-
-    def test_strips_trailing_zeros(self):
-        assert poly_gcd([0, 0], (2, 4, 0)) == (1, 2)
-        assert poly_gcd((-1, 0, 1, 0), [-1, 1, 0, 0]) == (-1, 1)
+        assert gcd((), (2, 4)) == (1, 2)
 
     def test_random_cubics_generically_coprime(self):
         for seed in SEEDS:
             rng = random.Random(seed)
             a = [rng.choice((1, -1)) * rng.randint(1, 99) for _ in range(4)]
             b = [rng.choice((1, -1)) * rng.randint(1, 99) for _ in range(4)]
-            assert poly_gcd(a, b) == (1,)
+            assert gcd(a, b) == (1,)
+
+    def test_constant_ends_the_gcd_without_division(self, monkeypatch):
+        def no_division(*args):
+            raise AssertionError("pseudo-divided by a constant")
+
+        monkeypatch.setattr(oracle, "_pseudo_rem", no_division)
+        assert gcd((1,) * 2001, (-6,)) == (1,)
+        assert gcd((3,), (2, 0, 4)) == (1,)
 
 
 @st.composite
@@ -129,16 +131,16 @@ def nonzero_polys(draw, max_degree=4, bound=20):
 @settings(max_examples=150)
 @given(nonzero_polys(), nonzero_polys())
 def test_gcd_divides_both_and_is_symmetric(a, b):
-    g = poly_gcd(a.coeffs, b.coeffs)
+    g = gcd(a.coeffs, b.coeffs)
     poly_exact_div(a.primitive_part(), ExactPoly(g))  # raises if not divisible
     poly_exact_div(b.primitive_part(), ExactPoly(g))
-    assert poly_gcd(b.coeffs, a.coeffs) == g
+    assert gcd(b.coeffs, a.coeffs) == g
 
 
 @settings(max_examples=100)
 @given(nonzero_polys(), nonzero_polys(), st.integers(1, 9))
 def test_gcd_degree_scale_invariant(a, b, k):
-    assert len(poly_gcd((a * k).coeffs, b.coeffs)) == len(poly_gcd(a.coeffs, b.coeffs))
+    assert len(gcd((a * k).coeffs, b.coeffs)) == len(gcd(a.coeffs, b.coeffs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,7 +148,7 @@ def test_gcd_degree_scale_invariant(a, b, k):
 def test_gcd_matches_fraction_reference(a, b, common):
     if common is not None:  # plant a common factor
         a, b = a * common, b * common
-    assert poly_gcd(a.coeffs, b.coeffs) == reference_poly_gcd(a, b).coeffs
+    assert gcd(a.coeffs, b.coeffs) == reference_poly_gcd(a, b).coeffs
 
 
 class TestExactDiv:
@@ -299,6 +301,16 @@ class TestZeroSet:
         big = PolyPattern(40_000, 40_000, {(i, i): 0 for i in range(0, 40_000, 100)})
         with pytest.raises(GuardLimitError, match="guarded at dimension 6, pattern is 40000x40000"):
             zero_set_empty(big, SEEDS)
+        high = PolyPattern(40_000, 2, {(0, 0): 10**9, (1, 1): 0})
+        with pytest.raises(GuardLimitError, match="guarded at 25000 coefficients, pattern draws 1000000002"):
+            zero_set_empty(high, SEEDS)
+
+    def test_coefficient_guard(self):
+        assert oracle.ZERO_SET_MAX_COEFFS == 25_000
+        # the sum of degree + 1 over the entries: 24,998 + 1 + 0 + 1 at the cap
+        assert zero_set_gcd_degrees(PolyPattern(1, 2, {(0, 0): 24_998, (0, 1): 0}), (0,)) == [0]
+        with pytest.raises(GuardLimitError, match="guarded at 25000 coefficients, pattern draws 25001"):
+            zero_set_gcd_degrees(PolyPattern(1, 2, {(0, 0): 24_999, (0, 1): 0}), (0,))
 
     def test_minor_count_guard(self):
         assert oracle.ZERO_SET_MAX_MINORS == 10_000
@@ -336,15 +348,15 @@ def test_zero_set_empty_stops_at_first_certifying_seed(pattern_seed, seeds):
 
 def reference_minor_gcd(matrix: ExactMatrix, size: int) -> tuple[int, ...] | None:
     """Gcd of every size-by-size minor, each expanded on its own; None if all vanish."""
-    acc = None
+    acc = ExactPoly()
     for rows in combinations(range(matrix.rows), size):
         for cols in combinations(range(matrix.cols), size):
             d = minor_determinant(matrix, rows, cols)
             if not d.is_zero:
-                acc = poly_gcd(d.coeffs, () if acc is None else acc)
-                if len(acc) == 1:
-                    return acc  # a constant divides every later minor too
-    return acc
+                acc = reference_poly_gcd(d, acc)
+                if acc.degree == 0:
+                    return acc.coeffs  # a constant divides every later minor too
+    return None if acc.is_zero else acc.coeffs
 
 
 @st.composite

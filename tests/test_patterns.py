@@ -16,6 +16,7 @@ from structctrl import (
     parse_pattern,
     parse_statespace,
 )
+from structctrl.patterns import MAX_VERTICES
 
 from fixture_patterns import wide_2x3
 
@@ -83,12 +84,22 @@ class TestParsePattern:
             ("pattern 2 2\nentry 1 1 z\n", "line 2: expected integer degree, got 'z'"),
             ("pattern 2 2\nentry 0 1 0\n", "line 2: entry (0,1) out of range for 2x2 pattern"),
             (" \t\n", "empty input, expected 'pattern <p> <v>' header"),
+            # a comment takes a whole line; a '#' after an entry or header is a token
+            ("pattern 2 2\nentry 1 1 0  # note\n", "line 2: expected 'entry <i> <j> <degree>'"),
+            ("pattern 1 2 # x\n", "line 1: expected header 'pattern <p> <v>'"),
+            ("# c\npattern 100000000 1\n", "line 2: 100000000x1 pattern has 100000001 vertices, guarded at 1000000"),
         ],
     )
     def test_error_message_and_line(self, text, message):
         with pytest.raises(PatternFormatError) as exc:
             parse_pattern(text)
         assert str(exc.value) == message
+
+    def test_vertex_guard_boundary(self):
+        assert MAX_VERTICES == 1_000_000
+        assert parse_pattern("pattern 999999 1\nentry 1 1 0\n").rows == 999_999
+        with pytest.raises(PatternFormatError, match="line 1: 999999x2 pattern has 1000001 vertices"):
+            parse_pattern("pattern 999999 2\nentry 1 1 0\n")
 
 
 class TestParseStatespace:
@@ -148,12 +159,19 @@ class TestParseStatespace:
             ("statespace 2 1\na 1\n", "line 2: expected 'a <i> <j>' or 'b <i> <k>'"),
             ("statespace 2 1\nb 1 1 1\n", "line 2: expected 'a <i> <j>' or 'b <i> <k>'"),
             ("statespace 2 1\nA 1 1\n", "line 2: expected 'a <i> <j>' or 'b <i> <k>'"),
+            ("statespace 1 100000000\n", "line 1: pencil of n=1, m=100000000 has 100000002 vertices, guarded at 1000000"),
         ],
     )
     def test_error_message_and_line(self, text, message):
         with pytest.raises(PatternFormatError) as exc:
             parse_statespace(text)
         assert str(exc.value) == message
+
+    def test_vertex_guard_boundary(self):
+        # the pencil [sI - A  B] has n rows and n + m columns
+        assert parse_statespace("statespace 2 999996\nb 1 1\n").m == 999_996
+        with pytest.raises(PatternFormatError, match="line 1: pencil of n=2, m=999997 has 1000001 vertices"):
+            parse_statespace("statespace 2 999997\nb 1 1\n")
 
 
 class TestEmit:

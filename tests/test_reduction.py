@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from structctrl import (
     PolyPattern,
-    WeightedBigraph,
     analyze,
     analyze_reduction,
     build_graph,
@@ -22,6 +21,7 @@ from structctrl import (
 
 from fixture_patterns import (
     edge_is_redundant,
+    graph,
     matchings_of_size,
     reference_components,
     reference_reduction,
@@ -87,13 +87,13 @@ class TestRemoveRedundantEdges:
     def test_edge_list_order_is_irrelevant(self):
         edges = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)]
         rng = random.Random(7)
-        baseline = remove_redundant_edges(WeightedBigraph(2, 3, edges))
+        baseline = remove_redundant_edges(graph(2, 3, edges))
         for _ in range(5):
             rng.shuffle(edges)
-            assert remove_redundant_edges(WeightedBigraph(2, 3, edges)) == baseline
+            assert remove_redundant_edges(graph(2, 3, edges)) == baseline
 
     def test_zero_rank_graph(self):
-        rg = remove_redundant_edges(WeightedBigraph(2, 2, []))
+        rg = remove_redundant_edges(graph(2, 2, []))
         assert rg.base_rank == 0
         assert rg.graph.edges == ()
 
@@ -136,7 +136,7 @@ def weighted_graphs(draw, max_r=5, max_c=5):
     cells = [(i, j) for i in range(r) for j in range(c)]
     chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
     weights = draw(st.lists(st.integers(0, 3), min_size=len(chosen), max_size=len(chosen)))
-    return WeightedBigraph(r, c, [(i, j, w) for (i, j), w in zip(chosen, weights)])
+    return graph(r, c, [(i, j, w) for (i, j), w in zip(chosen, weights)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,7 +172,7 @@ def seeded_large_graphs(draw):
     for r in range(rows):
         reach = confined // 2 if r < confined else cols
         edges.update((r, rng.randrange(reach)) for _ in range(rng.randint(1, 3)))
-    return WeightedBigraph(rows, cols, [(r, c, rng.randint(0, 2)) for r, c in edges])
+    return graph(rows, cols, [(r, c, rng.randint(0, 2)) for r, c in edges])
 
 
 @settings(max_examples=300, deadline=None)
@@ -183,9 +183,9 @@ def test_reduction_matches_per_edge_reference(g):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(weighted_graphs(), seeded_large_graphs()))
-def test_reduced_graph_equals_checked_rebuild(g):
+def test_reduced_graph_adjacency_follows_edges(g):
     reduced = remove_redundant_edges(g).graph
-    assert same_graph(reduced, WeightedBigraph(g.r_count, g.c_count, list(reversed(reduced.edges))))
+    assert same_graph(reduced, graph(g.r_count, g.c_count, list(reversed(reduced.edges))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -219,7 +219,7 @@ def test_components_and_witness_match_union_find_reference(g):
     comps = connected_components(rg)
     assert comps == expected  # order, vertex tuples and edge tuples
     assert [c.max_weight for c in comps] == [c.max_weight for c in expected]
-    assert analyze_reduction(g, rg).witness == reference_witness(rg, expected)
+    assert analyze_reduction(rg).witness == reference_witness(rg, expected)
 
 
 def test_staircase_deep_augmenting_path():
