@@ -3,23 +3,21 @@
 The combinatorial analysis claims a verdict that holds for all parameter
 values outside a measure-zero set.  This module checks such claims on
 concrete instances: fill the pattern with random integer-coefficient
-polynomials, take the gcd of all maximal minors exactly, and test whether
-it is constant (empty zero set) or not.  An instance keeps the pattern's
-own sparse format: the row-major ``(i, j, coeffs)`` triples of its nonzero
-entries.  The minors come one at a time, until the gcd is constant, from
-one Laplace expansion that walks only those entries and whose memo they
-all share (Gentleman and Johnson 1976).  A single random integer point
-almost surely avoids any fixed degeneracy variety, so one constant-gcd
-witness settles "generically empty"; a claim of "generically nonempty" is
-accepted only when every seed fails.
+polynomials, take the gcd of all maximal minors, and test whether it is
+constant (empty zero set) or not.  The minors come one at a time, until
+the gcd is constant, from one Laplace expansion that walks only the
+nonzero entries and whose memo they all share (Gentleman and Johnson
+1976).  A single random integer point almost surely avoids any fixed
+degeneracy variety, so one constant-gcd witness settles "generically
+empty"; a claim of "generically nonempty" is accepted only when every
+seed fails.
 
-A polynomial is the tuple of its integer coefficients in ascending degree,
-with no trailing zero; the zero polynomial is the empty tuple.  The gcd
-uses primitive pseudo-remainders, so no rational or float appears.  The
-Kalman test draws integers too, but ranks them in the field of the prime
-2^61 - 1, through the Krylov closure of B under A: rank n mod the prime
-certifies rank n over Q, and a deficient answer is one-sided, like a
-"nonempty" zero set.  Both checks are guarded: the zero-set test at
+A polynomial is the tuple of its coefficients in ascending degree, with no
+trailing zero; the zero polynomial is the empty tuple.  Both checks draw
+integers, reduce into the field of the prime q = 2^61 - 1, and let the
+degree or rank kept mod q certify the rational answer: the minor gcd runs
+Euclid mod q on minors exact over Z, and the Kalman test ranks the Krylov
+closure of B under A mod q.  Both checks are guarded: the zero-set test at
 min(p, v) <= ZERO_SET_MAX_DIM, at most ZERO_SET_MAX_COEFFS coefficients
 drawn per instance (the sum of degree + 1 over the entries, which also
 bounds every minor's degree) and at most ZERO_SET_MAX_MINORS maximal
@@ -53,50 +51,33 @@ ZERO_SET_MAX_DIM = 6
 ZERO_SET_MAX_MINORS = 10_000  # C(p, r) * C(v, r) maximal minors, enumerated per seed
 ZERO_SET_MAX_COEFFS = 25_000  # sum of (degree + 1) over the entries: coefficients drawn per seed
 KALMAN_MAX_STATES = 12
-_PRIME = 2**61 - 1  # the Kalman rank is taken in this field
+_PRIME = 2**61 - 1  # both exact checks reduce into this field
 
 
-def _primitive(coeffs) -> list[int]:
-    """Coefficients divided by their integer content; the zero polynomial's empty list stays empty."""
-    g = math.gcd(*coeffs)
-    return [c // g for c in coeffs]
-
-
-def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    """Remainder of lc(g)^k * f by g, on stripped coefficient lists.
-
-    Each step scales the remainder by lc(g) and subtracts g, shifted under
-    its leading term and times that term; the leading terms cancel, so the
-    top coefficient is dropped, not computed.
-    """
-    *tail, lead = g
-    r = f
-    while len(r) >= len(g):
-        top = r[-1]
-        r = [c * lead for c in r[:-1]]
-        for i, c in enumerate(tail, len(r) - len(tail)):
-            r[i] -= c * top
-        while r and r[-1] == 0:
-            r.pop()
+def _rem(f: list[int], g: list[int]) -> list[int]:
+    """Remainder of f by g over F_q, on stripped residue lists, with one modular inverse."""
+    inv = pow(g[-1], -1, _PRIME)
+    tail = [c * inv % _PRIME for c in g[:-1]]  # g made monic, its leading 1 dropped
+    r = f[:]
+    while len(r) > len(tail):
+        top = r.pop()
+        if top:
+            for i, c in enumerate(tail, len(r) - len(tail)):
+                r[i] = (r[i] - top * c) % _PRIME
+    while r and r[-1] == 0:
+        r.pop()
     return r
 
 
-def _gcd(a, b) -> list[int]:
-    """Gcd over the rationals of two coefficient lists, not both zero, as its positive primitive list.
-
-    Uses the primitive-remainder Euclidean sequence: pseudo-divide, strip
-    the integer content each step, so coefficients never leave the integers
-    and never blow up through rational arithmetic.  The sequence stops at
-    the first constant remainder, whose gcd with anything is 1.
-    """
-    f, g = _primitive(a), _primitive(b)
-    if len(f) < len(g):
-        f, g = g, f
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Monic gcd over F_q of two stripped residue lists, not both zero, by Euclid."""
+    f, g = (a, b) if len(a) >= len(b) else (b, a)
     while len(g) > 1:
-        f, g = g, _primitive(_pseudo_rem(f, g))
-    if g:  # a nonzero constant divides f; pseudo-dividing by it would take deg f steps
+        f, g = g, _rem(f, g)
+    if g:  # a nonzero constant divides f; dividing by it would take deg f steps
         return [1]
-    return f if f[-1] > 0 else [-c for c in f]
+    inv = pow(f[-1], -1, _PRIME)
+    return [c * inv % _PRIME for c in f]
 
 
 @dataclass(frozen=True)
@@ -180,14 +161,16 @@ def _laplace(entries, memo: dict[int, list[int]], rows: int, cols: int, shift: i
 
 
 def minor_gcd(matrix: ExactMatrix, size: int) -> tuple[int, ...] | None:
-    """Gcd of all size-by-size minor determinants; None if every minor vanishes.
+    """Monic gcd mod q of all size-by-size minors, as residues in [0, q); None if every minor vanishes.
 
     The triples are grouped into per-row ``(column bit, coeffs)`` lists; a
     tall matrix swaps i and j, which transposes it and keeps every minor.
-    Minors are taken one at a time in lexicographic order, all through one
-    shared Laplace memo, and the scan stops as soon as the gcd is
-    constant.  The result is the positive primitive coefficient tuple,
-    which does not depend on that order.
+    Minors come in lexicographic order through one shared Laplace memo,
+    exact over Z, and are reduced mod q, skipping those that vanish.  The
+    true gcd h divides every minor over Z, so once one keeps its degree mod
+    q, h does too, and a constant gcd mod q ends the scan.  The degree bounds
+    deg h from above, equal unless q divides a resultant of the cofactors;
+    if no minor keeps its degree mod q, GuardLimitError is raised.
     """
     n_rows, n_cols = sorted((matrix.rows, matrix.cols))
     triples = matrix.entries if matrix.rows <= matrix.cols else ((j, i, c) for i, j, c in matrix.entries)
@@ -196,6 +179,7 @@ def minor_gcd(matrix: ExactMatrix, size: int) -> tuple[int, ...] | None:
         entries[i].append((1 << j, coeffs))
     memo = {0: [1]}
     acc: list[int] = []
+    certified = None  # False once a minor is nonzero, True once one keeps its degree mod q
     for rows in combinations([1 << i for i in range(n_rows)], size):
         row_mask = sum(rows)
         for cols in combinations([1 << j for j in range(n_cols)], size):
@@ -204,10 +188,17 @@ def minor_gcd(matrix: ExactMatrix, size: int) -> tuple[int, ...] | None:
             if d is None:
                 d = _laplace(entries, memo, row_mask, col_mask, n_cols)
             if d:
-                acc = _gcd(acc, d)
-                if len(acc) == 1:
-                    return tuple(acc)
-    return tuple(acc) if acc else None
+                certified = certified or d[-1] % _PRIME != 0
+                d = [c % _PRIME for c in d]
+                while d and d[-1] == 0:
+                    d.pop()
+                if d:
+                    acc = _gcd(acc, d)
+                    if len(acc) == 1 and certified:
+                        return (1,)
+    if certified is False:
+        raise GuardLimitError("no nonzero minor keeps its degree mod 2^61 - 1; lower the coefficient bound")
+    return tuple(acc) if certified else None
 
 
 def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound, strict_monomials) -> Iterator[int]:
@@ -271,12 +262,10 @@ def kalman_controllable(
     zeros elsewhere, drawn in sorted A-entry then sorted B-entry order.  The
     column space of that matrix is the Krylov closure of B under A, the
     smallest A-invariant space holding B.  The columns of B are queued; each
-    queued vector is reduced mod the prime q = 2^61 - 1 against an echelon
-    basis, and only a vector that raises the rank joins it and queues its
-    image under A, until the rank is n.  Rank n mod q means a maximal minor
-    is nonzero mod q, hence over Q, so it certifies structural
-    controllability of the first-order system; a deficient rank at every
-    seed is one-sided evidence against it.
+    queued vector is reduced mod q against an echelon basis, and only a
+    vector that raises the rank joins it and queues its image under A, until
+    the rank is n.  Rank n mod q means a maximal minor is nonzero mod q,
+    hence over Q: structural controllability is certified.
     """
     if ss.n > KALMAN_MAX_STATES:
         raise GuardLimitError(f"controllability-matrix test guarded at {KALMAN_MAX_STATES} states, got {ss.n}")

@@ -14,7 +14,8 @@ later in a line is an ordinary token, so it makes a wrong token count):
     ...                      b <i> <k>
 
 A header may ask for at most MAX_VERTICES graph vertices: p + v for a
-pattern, 2n + m for the pencil [sI - A  B] of a statespace file.
+pattern, 2n + m for the pencil [sI - A  B] of a statespace file.  The
+emitters refuse what the parsers would, so every emitted text parses back.
 
 Internally all indices are 0-based.
 """
@@ -121,6 +122,12 @@ class StateSpacePattern:
                 raise ValueError(f"B entry ({i},{k}) outside {self.n}x{self.m}")
 
 
+def _check_vertices(what: str, vertices: int, lineno: int | None = None):
+    """Refuse a pattern or pencil of more than MAX_VERTICES graph vertices; ``what`` names it in the message."""
+    if vertices > MAX_VERTICES:
+        raise PatternFormatError(f"{what} has {vertices} vertices, guarded at {MAX_VERTICES}", lineno)
+
+
 def _header(lines: list[str], usage: str, first: str, second: str) -> tuple[int, int, int]:
     """Line number and two counts of the header, the first line that is neither blank nor a comment."""
     for lineno, raw in enumerate(lines, start=1):
@@ -151,8 +158,7 @@ def parse_pattern(text: str) -> PolyPattern:
     header, rows, cols = _header(lines, "pattern <p> <v>", "row count", "column count")
     if rows < 1 or cols < 1:
         raise PatternFormatError(f"dimensions must be positive, got {rows} {cols}", header)
-    if rows + cols > MAX_VERTICES:
-        raise PatternFormatError(f"{rows}x{cols} pattern has {rows + cols} vertices, guarded at {MAX_VERTICES}", header)
+    _check_vertices(f"{rows}x{cols} pattern", rows + cols, header)
 
     entries: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(lines[header:], start=header + 1):
@@ -185,8 +191,7 @@ def parse_statespace(text: str) -> StateSpacePattern:
         raise PatternFormatError(f"state count must be positive, got {n}", header)
     if m < 0:
         raise PatternFormatError(f"input count must be non-negative, got {m}", header)
-    if 2 * n + m > MAX_VERTICES:
-        raise PatternFormatError(f"pencil of n={n}, m={m} has {2 * n + m} vertices, guarded at {MAX_VERTICES}", header)
+    _check_vertices(f"pencil of n={n}, m={m}", 2 * n + m, header)
 
     a_entries: set[tuple[int, int]] = set()
     b_entries: set[tuple[int, int]] = set()
@@ -220,8 +225,10 @@ def parse_statespace(text: str) -> StateSpacePattern:
 def emit_pattern(pattern: PolyPattern) -> str:
     """Canonical text for a pattern: header, then entries in row-major order.
 
-    Byte-exact deterministic; parse_pattern(emit_pattern(p)) == p.
+    Byte-exact deterministic; parse_pattern(emit_pattern(p)) == p, since a
+    pattern past MAX_VERTICES raises PatternFormatError here as it would there.
     """
+    _check_vertices(f"{pattern.rows}x{pattern.cols} pattern", pattern.rows + pattern.cols)
     out = [f"pattern {pattern.rows} {pattern.cols}"]
     for i, j, d in pattern.sorted_entries():
         out.append(f"entry {i + 1} {j + 1} {d}")
@@ -229,7 +236,8 @@ def emit_pattern(pattern: PolyPattern) -> str:
 
 
 def emit_statespace(ss: StateSpacePattern) -> str:
-    """Canonical text for a state-space pattern: header, sorted 'a' lines, sorted 'b' lines."""
+    """Canonical text for a state-space pattern: header, sorted 'a' then 'b' lines; refused past MAX_VERTICES."""
+    _check_vertices(f"pencil of n={ss.n}, m={ss.m}", 2 * ss.n + ss.m)
     out = [f"statespace {ss.n} {ss.m}"]
     for i, j in sorted(ss.a_entries):
         out.append(f"a {i + 1} {j + 1}")

@@ -24,6 +24,7 @@ from structctrl import (
     term_rank,
 )
 from structctrl.bigraph import _UNMATCHED, WeightedBigraph, _max_matching_pairs
+from structctrl.oracle import _PRIME
 
 
 @dataclass(frozen=True)
@@ -480,8 +481,8 @@ def det_bareiss(matrix: ExactMatrix, row_set=None, col_set=None) -> ExactPoly:
 def reference_poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     """Gcd over the rationals by monic Euclid on Fractions, as the positive primitive integer polynomial.
 
-    Shares nothing with the library's integer pseudo-remainder sequence,
-    which is checked against it.
+    Shares nothing with the library's Euclid over F_q, which is checked
+    against its image ``monic_mod_q``.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
@@ -501,6 +502,16 @@ def reference_poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     content = math.gcd(*ints)
     sign = 1 if ints[-1] > 0 else -1
     return ExactPoly(sign * c // content for c in ints)
+
+
+def monic_mod_q(poly: ExactPoly) -> tuple[int, ...]:
+    """The monic image mod q = 2^61 - 1 of a polynomial, as residues in [0, q).
+
+    It is the form in which ``minor_gcd`` returns a gcd; q must not divide
+    the leading coefficient.
+    """
+    inv = pow(poly.lead, -1, _PRIME)
+    return tuple(c * inv % _PRIME for c in poly.coeffs)
 
 
 def reference_kalman_controllable(ss: StateSpacePattern, seeds, coeff_bound: int = 99) -> bool:

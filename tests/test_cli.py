@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from structctrl import PolyPattern, cli, decision, emit_pattern, oracle, parse_pattern, statespace
+from structctrl import PolyPattern, cli, decision, emit_pattern, oracle, parse_pattern, parse_statespace, patterns, statespace
 from structctrl.cli import _build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -397,6 +397,21 @@ class TestGen:
         assert code == 0
         pattern = parse_pattern(out)
         assert (pattern.rows, pattern.cols, len(pattern.entries)) == (100000, 100000, 10)
+
+    def test_random_past_the_vertex_guard_writes_nothing(self, capsys):
+        code, out, err = run(capsys, "gen", "random", "--rows", "1500000", "--cols", "1", "--density-edges", "1")
+        assert (code, out) == (2, "")
+        assert "1500000x1 pattern has 1500001 vertices, guarded at 1000000" in err
+
+    def test_statespace_past_the_vertex_guard_writes_nothing(self, capsys, monkeypatch):
+        # a lowered cap keeps the pencil small: canonical n has 2n + 1 vertices
+        monkeypatch.setattr(patterns, "MAX_VERTICES", 100)
+        code, out, err = run(capsys, "gen", "canonical", "--n", "50")
+        assert (code, out) == (2, "")
+        assert "pencil of n=50, m=1 has 101 vertices, guarded at 100" in err
+        code, out, _ = run(capsys, "gen", "canonical", "--n", "49")
+        assert code == 0
+        assert parse_statespace(out).n == 49
 
     def test_random_too_many_edges(self, capsys):
         code, _, err = run(capsys, "gen", "random", "--rows", "2", "--cols", "2",

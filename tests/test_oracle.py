@@ -33,6 +33,7 @@ from fixture_patterns import (
     det_bareiss,
     integrator_ss,
     minor_determinant,
+    monic_mod_q,
     poly_exact_div,
     random_pattern,
     reference_kalman_controllable,
@@ -43,6 +44,7 @@ from fixture_patterns import (
 )
 
 SEEDS = (0, 1, 2, 3, 4)
+Q = oracle._PRIME
 
 
 def P(*coeffs):
@@ -52,6 +54,18 @@ def P(*coeffs):
 def gcd(a, b) -> tuple[int, ...] | None:
     """Gcd of two stripped coefficient sequences, taken by minor_gcd as the 1x1 minors of the 1x2 matrix [a b]."""
     return minor_gcd(ExactMatrix(1, 2, tuple((0, j, tuple(cs)) for j, cs in enumerate((a, b)) if cs)), 1)
+
+
+def divides_mod_q(g, a) -> bool:
+    """Does the monic residue sequence g divide the integer coefficients a mod q?  Schoolbook long division."""
+    r = [c % Q for c in a]
+    while len(r) >= len(g):
+        top, shift = r.pop(), len(r) + 1 - len(g)
+        for i, c in enumerate(g[:-1]):
+            r[shift + i] = (r[shift + i] - top * c) % Q
+        while r and r[-1] == 0:
+            r.pop()
+    return not r
 
 
 def naive_cofactor_det(matrix: ExactMatrix, rows, cols) -> ExactPoly:
@@ -97,13 +111,13 @@ class TestExactPoly:
 
 class TestPolyGcd:
     def test_common_linear_factor(self):
-        assert gcd((-1, 0, 1), (-1, 1)) == (-1, 1)  # gcd(s^2-1, s-1) = s-1
+        assert gcd((-1, 0, 1), (-1, 1)) == monic_mod_q(P(-1, 1)) == (Q - 1, 1)  # gcd(s^2-1, s-1) = s-1
 
     def test_constant_against_poly(self):
         assert gcd((7,), (3, 1, 4)) == (1,)
 
     def test_one_zero(self):
-        assert gcd((), (2, 4)) == (1, 2)
+        assert gcd((), (2, 4)) == monic_mod_q(P(1, 2))
 
     def test_random_cubics_generically_coprime(self):
         for seed in SEEDS:
@@ -114,11 +128,19 @@ class TestPolyGcd:
 
     def test_constant_ends_the_gcd_without_division(self, monkeypatch):
         def no_division(*args):
-            raise AssertionError("pseudo-divided by a constant")
+            raise AssertionError("divided by a constant")
 
-        monkeypatch.setattr(oracle, "_pseudo_rem", no_division)
+        monkeypatch.setattr(oracle, "_rem", no_division)
         assert gcd((1,) * 2001, (-6,)) == (1,)
         assert gcd((3,), (2, 0, 4)) == (1,)
+
+    def test_minor_vanishing_mod_q_is_skipped(self):
+        assert gcd((Q, Q), (1, 1)) == (1, 1)  # q(1+s) reduces to zero; 1+s alone sets the gcd
+
+    def test_no_minor_keeping_its_degree_mod_q_raises(self):
+        # 1+qs reduces to the constant 1, but the true gcd is 1+qs itself
+        with pytest.raises(GuardLimitError, match="lower the coefficient bound"):
+            gcd((1, Q), (1, Q))
 
 
 @st.composite
@@ -132,8 +154,8 @@ def nonzero_polys(draw, max_degree=4, bound=20):
 @given(nonzero_polys(), nonzero_polys())
 def test_gcd_divides_both_and_is_symmetric(a, b):
     g = gcd(a.coeffs, b.coeffs)
-    poly_exact_div(a.primitive_part(), ExactPoly(g))  # raises if not divisible
-    poly_exact_div(b.primitive_part(), ExactPoly(g))
+    assert g[-1] == 1
+    assert divides_mod_q(g, a.coeffs) and divides_mod_q(g, b.coeffs)
     assert gcd(b.coeffs, a.coeffs) == g
 
 
@@ -148,7 +170,7 @@ def test_gcd_degree_scale_invariant(a, b, k):
 def test_gcd_matches_fraction_reference(a, b, common):
     if common is not None:  # plant a common factor
         a, b = a * common, b * common
-    assert gcd(a.coeffs, b.coeffs) == reference_poly_gcd(a, b).coeffs
+    assert gcd(a.coeffs, b.coeffs) == monic_mod_q(reference_poly_gcd(a, b))
 
 
 class TestExactDiv:
@@ -309,6 +331,8 @@ class TestZeroSet:
         assert oracle.ZERO_SET_MAX_COEFFS == 25_000
         # the sum of degree + 1 over the entries: 24,998 + 1 + 0 + 1 at the cap
         assert zero_set_gcd_degrees(PolyPattern(1, 2, {(0, 0): 24_998, (0, 1): 0}), (0,)) == [0]
+        # two high-degree minors: Euclid runs all the way down
+        assert zero_set_gcd_degrees(PolyPattern(1, 2, {(0, 0): 300, (0, 1): 300}), (0,)) == [0]
         with pytest.raises(GuardLimitError, match="guarded at 25000 coefficients, pattern draws 25001"):
             zero_set_gcd_degrees(PolyPattern(1, 2, {(0, 0): 24_999, (0, 1): 0}), (0,))
 
@@ -347,7 +371,7 @@ def test_zero_set_empty_stops_at_first_certifying_seed(pattern_seed, seeds):
 
 
 def reference_minor_gcd(matrix: ExactMatrix, size: int) -> tuple[int, ...] | None:
-    """Gcd of every size-by-size minor, each expanded on its own; None if all vanish."""
+    """Monic image mod q of the gcd of every size-by-size minor, each expanded on its own; None if all vanish."""
     acc = ExactPoly()
     for rows in combinations(range(matrix.rows), size):
         for cols in combinations(range(matrix.cols), size):
@@ -355,8 +379,8 @@ def reference_minor_gcd(matrix: ExactMatrix, size: int) -> tuple[int, ...] | Non
             if not d.is_zero:
                 acc = reference_poly_gcd(d, acc)
                 if acc.degree == 0:
-                    return acc.coeffs  # a constant divides every later minor too
-    return None if acc.is_zero else acc.coeffs
+                    return monic_mod_q(acc)  # a constant divides every later minor too
+    return None if acc.is_zero else monic_mod_q(acc)
 
 
 @st.composite
