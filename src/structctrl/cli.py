@@ -20,10 +20,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import patterns
 from .bigraph import build_graph
 from .decision import AnalysisReport, analyze, analyze_reduction
 from .errors import GuardLimitError
-from .oracle import DEFAULT_COEFF_BOUND, kalman_controllable, zero_set_empty, zero_set_gcd_degrees
+from .oracle import DEFAULT_COEFF_BOUND, kalman_controllable, kalman_deficiencies, zero_set_empty, zero_set_gcd_degrees
 from .patterns import (
     PolyPattern,
     emit_pattern,
@@ -38,7 +39,6 @@ from .statespace import (
     controller_canonical,
     gilbert_form,
     siso_interconnection,
-    strict_monomial_entries,
 )
 
 DEFAULT_SEEDS = "0,1,2,3,4"
@@ -119,15 +119,14 @@ def cmd_statespace(args) -> int:
     ss = parse_statespace(_read_text(args.file))
     rep = analyze_statespace(ss)
 
-    cross, strict = None, frozenset()
-    if not args.quiet:
+    cross = None
+    if args.json or not args.quiet:  # the checks run whenever their result is printed
         cross = {}
         try:  # a check past its size guard is left out of cross
-            cross["kalman_rank_full"] = kalman_controllable(ss, args.seeds, args.coeff_range)
-            strict = strict_monomial_entries(ss)
-            generic = cross["zero_set_empty_generic"] = zero_set_empty(rep.pencil, args.seeds, args.coeff_range)
-            # with no forced monomial the strict call is the generic call
-            cross["zero_set_empty_strict"] = zero_set_empty(rep.pencil, args.seeds, args.coeff_range, strict) if strict else generic
+            kalman = cross["kalman_rank_full"] = kalman_controllable(ss, args.seeds, args.coeff_range)
+            cross["zero_set_empty_generic"] = zero_set_empty(rep.pencil, args.seeds, args.coeff_range)
+            # PBH: the true pencil, s where A_ii = 0, loses rank exactly where the Krylov rank falls short
+            cross["zero_set_empty_strict"] = kalman
         except GuardLimitError:
             pass
         if cross.get("kalman_rank_full", rep.controllable) == cross.get("zero_set_empty_generic", rep.controllable) == rep.controllable:
@@ -144,7 +143,7 @@ def cmd_statespace(args) -> int:
             for i, ok in enumerate(rep.state_connectivity):
                 print(f"state {i + 1}: {'connected' if ok else 'NOT connected'}")
             if cross is not None:
-                _print_cross_check_note(cross, bool(strict), rep.controllable)
+                _print_cross_check_note(cross, any((i, i) not in ss.a_entries for i in range(ss.n)), rep.controllable)
     return 0 if rep.controllable else 1
 
 
@@ -172,17 +171,14 @@ def _print_cross_check_note(cross: dict, zero_diagonal: bool, controllable: bool
 def cmd_oracle(args) -> int:
     text = _read_text(args.file)
     first = next((line.strip() for line in text.splitlines() if line.strip() and not line.strip().startswith("#")), "")
-    strict_entries = frozenset()
-    if first.startswith("statespace"):
-        ss = parse_statespace(text)
-        pattern = controllability_pencil(ss)
-        if args.mode == "statespace_strict":
-            strict_entries = strict_monomial_entries(ss)
-    else:
-        pattern = parse_pattern(text)
-        if args.mode == "statespace_strict":
-            raise ValueError("mode statespace_strict requires a statespace file")
-    degrees = zero_set_gcd_degrees(pattern, args.seeds, args.coeff_range, strict_entries)
+    ss = parse_statespace(text) if first.startswith("statespace") else None
+    pattern = parse_pattern(text) if ss is None else controllability_pencil(ss)
+    if args.mode == "generic":
+        degrees = zero_set_gcd_degrees(pattern, args.seeds, args.coeff_range)
+    elif ss is None:
+        raise ValueError("mode statespace_strict requires a statespace file")
+    else:  # PBH: the true pencil's gcd degree is n - Krylov rank
+        degrees = kalman_deficiencies(ss, args.seeds, args.coeff_range)
     empty = any(d == 0 for d in degrees)
     if args.json:
         print(json.dumps({"mode": args.mode, "seed_gcd_degrees": degrees, "zero_set_empty": empty}))
@@ -213,6 +209,7 @@ def cmd_gen(args) -> int:
     if kind in ("canonical", "gilbert"):
         if args.n is None:
             raise ValueError(f"gen {kind} requires --n")
+        patterns._check_vertices(f"pencil of n={args.n}, m=1", 2 * args.n + 1)  # before the system is built
         ss = controller_canonical(args.n) if kind == "canonical" else gilbert_form(args.n)
         sys.stdout.write(emit_statespace(ss))
     elif kind in ("series", "parallel", "feedback"):

@@ -1,16 +1,20 @@
-"""Exact ground truth for the structural verdicts.
+"""Exact ground truth for the structural verdicts, one exact route per model.
 
 The combinatorial analysis claims a verdict that holds for all parameter
 values outside a measure-zero set.  This module checks such claims on
-concrete instances: fill the pattern with random integer-coefficient
-polynomials, take the gcd of all maximal minors, and test whether it is
-constant (empty zero set) or not.  The minors come one at a time, until
-the gcd is constant, from one Laplace expansion that walks only the
-nonzero entries and whose memo they all share (Gentleman and Johnson
-1976).  A single random integer point almost surely avoids any fixed
-degeneracy variety, so one constant-gcd witness settles "generically
-empty"; a claim of "generically nonempty" is accepted only when every
-seed fails.
+concrete instances.  The pattern model, the generic pencil [sI - A  B]
+included, is answered by the minor gcd: fill the pattern with random
+integer-coefficient polynomials, take the gcd of all maximal minors, and
+test whether it is constant (empty zero set) or not.  The minors come one
+at a time, until the gcd is constant, from one Laplace expansion that walks
+only the nonzero entries and whose memo they all share (Gentleman and
+Johnson 1976).  A single random integer point almost surely avoids any
+fixed degeneracy variety, so one constant-gcd witness settles "generically
+empty"; a claim of "generically nonempty" is accepted only when every seed
+fails.  The true pencil, exactly s on the diagonal where A_ii = 0, is
+answered by the Krylov rank: by the Popov-Belevitch-Hautus test (Hautus
+1969) its maximal minors have a gcd of degree n - rank [B, AB, ...,
+A^(n-1) B] at every numeric instance.
 
 A polynomial is the tuple of its coefficients in ascending degree, with no
 trailing zero; the zero polynomial is the empty tuple.  Both checks draw
@@ -44,6 +48,7 @@ __all__ = [
     "zero_set_empty",
     "zero_set_gcd_degrees",
     "kalman_controllable",
+    "kalman_deficiencies",
 ]
 
 DEFAULT_COEFF_BOUND = 99
@@ -97,30 +102,16 @@ def _nonzero_int(rng: random.Random, bound: int) -> int:
     return rng.choice((1, -1)) * rng.randint(1, bound)
 
 
-def instantiate(
-    pattern: PolyPattern,
-    seed: int,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-    strict_monomials: frozenset[tuple[int, int]] = frozenset(),
-) -> ExactMatrix:
+def instantiate(pattern: PolyPattern, seed: int, coeff_bound: int = DEFAULT_COEFF_BOUND) -> ExactMatrix:
     """Fill a pattern with random integer-coefficient polynomials.
 
     Each of the pattern's sorted ``(i, j, d)`` entries becomes one triple
     ``(i, j, coeffs)``: all d+1 coefficients are drawn in turn, uniformly
     from the nonzero integers in [-coeff_bound, coeff_bound]; absent entries
-    are zero and have no triple.  The positions listed in
-    ``strict_monomials`` are forced to the exact monomial s**d instead
-    (coefficients ``(0,) * d + (1,)``, nothing drawn), which reproduces the
-    true [sI - A  B] entries where the state matrix diagonal vanishes; an
-    empty set is the generic convention.
+    are zero and have no triple.
     """
     rng = random.Random(seed)
-    entries = []
-    for i, j, d in pattern.sorted_entries():
-        if (i, j) in strict_monomials:
-            entries.append((i, j, (0,) * d + (1,)))
-        else:
-            entries.append((i, j, tuple(_nonzero_int(rng, coeff_bound) for _ in range(d + 1))))
+    entries = [(i, j, tuple(_nonzero_int(rng, coeff_bound) for _ in range(d + 1))) for i, j, d in pattern.sorted_entries()]
     return ExactMatrix(pattern.rows, pattern.cols, tuple(entries))
 
 
@@ -201,7 +192,7 @@ def minor_gcd(matrix: ExactMatrix, size: int) -> tuple[int, ...] | None:
     return tuple(acc) if certified else None
 
 
-def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound, strict_monomials) -> Iterator[int]:
+def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound) -> Iterator[int]:
     """Check the arguments, then lazily yield each seed's maximal-minor gcd degree (-1: every minor vanishes)."""
     if not pattern.entries:  # term rank 0; checked, like the size guards, before the matching
         raise ValueError("pattern has term rank 0; zero-set test undefined")
@@ -220,16 +211,11 @@ def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound, strict_monomials
             f"pattern is {pattern.rows}x{pattern.cols} with {minors} minors of order {rank}"
         )
     for seed in seeds:
-        g = minor_gcd(instantiate(pattern, seed, coeff_bound, strict_monomials), rank)
+        g = minor_gcd(instantiate(pattern, seed, coeff_bound), rank)
         yield -1 if g is None else len(g) - 1
 
 
-def zero_set_empty(
-    pattern: PolyPattern,
-    seeds,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-    strict_monomials: frozenset[tuple[int, int]] = frozenset(),
-) -> bool:
+def zero_set_empty(pattern: PolyPattern, seeds, coeff_bound: int = DEFAULT_COEFF_BOUND) -> bool:
     """True iff some seed instantiates the pattern with a constant maximal-minor gcd.
 
     A constant gcd at one integer point certifies the generic answer: a
@@ -238,25 +224,16 @@ def zero_set_empty(
     vanishing) reports a generically nonempty zero set.  Stops at the first
     certifying seed.
     """
-    return 0 in _seed_gcd_degrees(pattern, seeds, coeff_bound, strict_monomials)
+    return 0 in _seed_gcd_degrees(pattern, seeds, coeff_bound)
 
 
-def zero_set_gcd_degrees(
-    pattern: PolyPattern,
-    seeds,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-    strict_monomials: frozenset[tuple[int, int]] = frozenset(),
-) -> list[int]:
+def zero_set_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound: int = DEFAULT_COEFF_BOUND) -> list[int]:
     """Per-seed gcd degree of all maximal minors; -1 when every minor vanishes."""
-    return list(_seed_gcd_degrees(pattern, seeds, coeff_bound, strict_monomials))
+    return list(_seed_gcd_degrees(pattern, seeds, coeff_bound))
 
 
-def kalman_controllable(
-    ss: StateSpacePattern,
-    seeds,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-) -> bool:
-    """Classical cross-check: does [B, AB, ..., A^(n-1) B] reach rank n at some seed?
+def _kalman_ranks(ss: StateSpacePattern, seeds, coeff_bound) -> Iterator[int]:
+    """Check the guard, then lazily yield each seed's rank mod q of [B, AB, ..., A^(n-1) B].
 
     A and B get random nonzero integers at the pattern positions and exact
     zeros elsewhere, drawn in sorted A-entry then sorted B-entry order.  The
@@ -264,8 +241,7 @@ def kalman_controllable(
     smallest A-invariant space holding B.  The columns of B are queued; each
     queued vector is reduced mod q against an echelon basis, and only a
     vector that raises the rank joins it and queues its image under A, until
-    the rank is n.  Rank n mod q means a maximal minor is nonzero mod q,
-    hence over Q: structural controllability is certified.
+    the rank is n or the queue runs out.
     """
     if ss.n > KALMAN_MAX_STATES:
         raise GuardLimitError(f"controllability-matrix test guarded at {KALMAN_MAX_STATES} states, got {ss.n}")
@@ -289,6 +265,24 @@ def kalman_controllable(
             v = [x * inv % _PRIME for x in v]
             basis.append((p, v))
             if len(basis) == ss.n:
-                return True
+                break
             queue.append([sum(a * v[j] for j, a in row) % _PRIME for row in a_rows])
-    return False
+        yield len(basis)
+
+
+def kalman_controllable(ss: StateSpacePattern, seeds, coeff_bound: int = DEFAULT_COEFF_BOUND) -> bool:
+    """Classical cross-check: does [B, AB, ..., A^(n-1) B] reach rank n at some seed?
+
+    Rank n mod q means a maximal minor is nonzero mod q, hence over Q:
+    structural controllability is certified.  Stops at the first full-rank seed.
+    """
+    return ss.n in _kalman_ranks(ss, seeds, coeff_bound)
+
+
+def kalman_deficiencies(ss: StateSpacePattern, seeds, coeff_bound: int = DEFAULT_COEFF_BOUND) -> list[int]:
+    """Per-seed n - rank of [B, AB, ..., A^(n-1) B]: the true pencil's maximal-minor gcd degree (PBH).
+
+    The rank mod q bounds the rank over Q from below, so, like ``minor_gcd``'s
+    degree, each value bounds the true degree from above.
+    """
+    return [ss.n - r for r in _kalman_ranks(ss, seeds, coeff_bound)]

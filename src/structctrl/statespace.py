@@ -10,8 +10,9 @@ must share a reduced-graph component with some input vertex.
 
 Note the modeling convention: the diagonal entry is treated as an
 arbitrary degree-1 polynomial even when A_ii = 0, where the true entry is
-exactly the monomial s.  The exact-arithmetic oracle can instantiate both
-conventions, so the difference is measurable (see README).
+exactly the monomial s.  The oracle answers both conventions, so the
+difference is measurable (see README): the minor gcd on the pencil answers
+this one, the Krylov rank of the true pencil the other.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .patterns import PolyPattern, StateSpacePattern
 __all__ = [
     "StateSpaceReport",
     "controllability_pencil",
-    "strict_monomial_entries",
     "analyze_statespace",
     "controller_canonical",
     "gilbert_form",
@@ -56,11 +56,6 @@ def controllability_pencil(ss: StateSpacePattern) -> PolyPattern:
     for i, k in ss.b_entries:
         entries[(i, ss.n + k)] = 0
     return PolyPattern._from_checked(ss.n, ss.n + ss.m, entries)
-
-
-def strict_monomial_entries(ss: StateSpacePattern) -> frozenset[tuple[int, int]]:
-    """Pencil positions whose true entry is exactly the monomial s (A_ii = 0)."""
-    return frozenset((i, i) for i in range(ss.n) if (i, i) not in ss.a_entries)
 
 
 def analyze_statespace(ss: StateSpacePattern) -> StateSpaceReport:

@@ -541,6 +541,22 @@ def reference_kalman_controllable(ss: StateSpacePattern, seeds, coeff_bound: int
     return False
 
 
+def true_pencil(ss: StateSpacePattern, seed: int, coeff_bound: int = 99) -> ExactMatrix:
+    """The exact pencil [sI - A  B] at the draws of ``kalman_controllable``: sorted A entries, then sorted B entries.
+
+    Entry (i, i) is s - a_ii, or exactly s where A_ii is absent; the
+    generic-convention ``instantiate`` draws a whole degree-1 polynomial there.
+    """
+    rng = random.Random(seed)
+    cells = {(i, i): (0, 1) for i in range(ss.n)}
+    for i, j in sorted(ss.a_entries):
+        a = rng.choice((1, -1)) * rng.randint(1, coeff_bound)
+        cells[i, j] = (-a, 1) if i == j else (-a,)
+    for i, k in sorted(ss.b_entries):
+        cells[i, ss.n + k] = (rng.choice((1, -1)) * rng.randint(1, coeff_bound),)
+    return ExactMatrix(ss.n, ss.n + ss.m, tuple((i, j, c) for (i, j), c in sorted(cells.items())))
+
+
 def fraction_rank(rows: list[list[int]]) -> int:
     """Reference rank of an integer matrix over the rationals: Gauss-Jordan on Fractions."""
     m = [[Fraction(x) for x in row] for row in rows]

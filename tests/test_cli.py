@@ -150,7 +150,7 @@ class TestStatespace:
         assert json.loads(out)["cross_check_disagreement"] == {
             "kalman_rank_full": True,
             "zero_set_empty_generic": False,
-            "zero_set_empty_strict": False,
+            "zero_set_empty_strict": True,  # the true pencil's answer is the Krylov rank's (PBH)
         }
 
     FULL_DIAGONAL = "statespace 2 1\na 1 1\na 1 2\na 2 2\nb 2 1\n"  # no zero diagonal entry, controllable
@@ -227,9 +227,23 @@ class TestStatespace:
             counting(module, "build_graph")
         code, _, _ = run(capsys, "statespace", "--json", str(FIXTURES / "ss_chain.txt"))
         assert code == 0
-        # the analysis builds the one pencil and its graph; each zero-set call
-        # (generic, then strict: A_11 = A_22 = 0) builds a graph for its term rank
-        assert calls == {"controllability_pencil": 1, "build_graph": 3}
+        # the analysis builds the one pencil and its graph; the generic zero-set
+        # call builds a graph for its term rank, and the strict answer is Kalman's
+        assert calls == {"controllability_pencil": 1, "build_graph": 2}
+
+    def test_json_quiet_runs_the_cross_checks(self, capsys):
+        # --quiet trims text only; the JSON report is the same with or without it
+        path = str(FIXTURES / "ss_shared_drive.txt")
+        _, full, _ = run(capsys, "statespace", "--json", path)
+        code, quiet, _ = run(capsys, "statespace", "--json", "--quiet", path)
+        assert code == 0 and quiet == full
+        assert json.loads(quiet)["cross_check_disagreement"] == {
+            "kalman_rank_full": False,
+            "zero_set_empty_generic": True,
+            "zero_set_empty_strict": False,
+        }
+        _, text, _ = run(capsys, "statespace", "--quiet", path)
+        assert text == "structurally controllable\n"
 
     def test_huge_header_exits_2(self, tmp_path, capsys):
         f = tmp_path / "ss.txt"
@@ -290,6 +304,20 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", str(f))
         assert (code, out) == (2, "")
         assert err == "error: minor enumeration guarded at 10000 minors, pattern is 6x26 with 230230 minors of order 6\n"
+
+    def test_strict_past_the_zero_set_guard_takes_the_krylov_rank(self, tmp_path, capsys):
+        f = tmp_path / "ss.txt"
+        f.write_text(WIDE_INPUTS)
+        code, out, _ = run(capsys, "oracle", "--json", "--mode", "statespace_strict", str(f))
+        assert code == 1  # state 6 is unreached: one uncontrollable mode per seed
+        assert json.loads(out) == {"mode": "statespace_strict", "seed_gcd_degrees": [1, 1, 1, 1, 1], "zero_set_empty": False}
+
+    def test_strict_guard_is_the_kalman_guard(self, tmp_path, capsys):
+        f = tmp_path / "ss.txt"
+        f.write_text("statespace 13 1\nb 1 1\n")
+        code, out, err = run(capsys, "oracle", "--mode", "statespace_strict", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: controllability-matrix test guarded at 12 states, got 13\n"
 
     def test_json(self, capsys):
         _, out, _ = run(capsys, "oracle", "--json", str(FIXTURES / "autonomous_1x1.txt"))
@@ -412,6 +440,17 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "canonical", "--n", "49")
         assert code == 0
         assert parse_statespace(out).n == 49
+
+    @pytest.mark.parametrize("kind", ["canonical", "gilbert"])
+    def test_statespace_size_checked_before_the_system_is_built(self, capsys, monkeypatch, kind):
+        def no_system(*args):
+            raise AssertionError("a system was built past the vertex guard")
+
+        monkeypatch.setattr(patterns, "MAX_VERTICES", 100)
+        monkeypatch.setattr(statespace, "StateSpacePattern", no_system)
+        code, out, err = run(capsys, "gen", kind, "--n", "50")
+        assert (code, out) == (2, "")
+        assert err == "error: pencil of n=50, m=1 has 101 vertices, guarded at 100\n"
 
     def test_random_too_many_edges(self, capsys):
         code, _, err = run(capsys, "gen", "random", "--rows", "2", "--cols", "2",

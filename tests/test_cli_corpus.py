@@ -1,0 +1,105 @@
+"""CLI output pinned byte for byte on a seeded corpus.
+
+Each command runs, as text and with --json, on every corpus file it
+accepts: the five fixtures, random patterns up to 6x9 and random systems
+with n <= 6 and m <= 3, all inside the oracle's zero-set guards.  The exit
+code, stdout and stderr of every run feed one sha256 per command, compared
+with ``DIGESTS``.  A change that means to change output re-records the
+digests with
+
+    PYTHONPATH=src python tests/test_cli_corpus.py
+
+and logs the new values and the reason.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from structctrl.cli import main
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CORPUS_SEED = 20_261_019
+CORPUS_SIZE = 150  # random patterns, and as many random systems
+
+
+def _random_pattern_text(rng: random.Random) -> str:
+    rows, cols = rng.randint(1, 6), rng.randint(1, 9)
+    cells = rng.sample([(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)], rng.randint(1, min(14, rows * cols)))
+    return f"pattern {rows} {cols}\n" + "".join(f"entry {i} {j} {rng.randint(0, 2)}\n" for i, j in sorted(cells))
+
+
+def _random_system_text(rng: random.Random) -> str:
+    n, m = rng.randint(1, 6), rng.randint(0, 3)
+    density = rng.uniform(0.1, 0.6)
+    a = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < density]
+    b = [(i, k) for i in range(1, n + 1) for k in range(1, m + 1) if rng.random() < density]
+    return f"statespace {n} {m}\n" + "".join(f"a {i} {j}\n" for i, j in a) + "".join(f"b {i} {k}\n" for i, k in b)
+
+
+def corpus() -> tuple[list[str], list[str]]:
+    """Pattern texts and system texts: the fixtures first, then the seeded random ones."""
+    fixtures = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.txt"))]
+    rng = random.Random(CORPUS_SEED)
+    patterns = [text for text in fixtures if text.lstrip().startswith("pattern")]
+    systems = [text for text in fixtures if text.lstrip().startswith("statespace")]
+    patterns += [_random_pattern_text(rng) for _ in range(CORPUS_SIZE)]
+    systems += [_random_system_text(rng) for _ in range(CORPUS_SIZE)]
+    return patterns, systems
+
+
+# command -> which corpus texts it runs on
+COMMANDS = {
+    "analyze": "patterns",
+    "analyze --json": "patterns",
+    "oracle": "both",
+    "oracle --json": "both",
+    "statespace": "systems",
+    "statespace --json": "systems",
+    "oracle --mode statespace_strict": "systems",
+    "oracle --mode statespace_strict --json": "systems",
+}
+
+# Recorded at 8319e13, the commit before the forced-monomial zero set became the Krylov rank.
+DIGESTS = {
+    "analyze": "33bd567739b21a84221f220e4981c2d4bab4a09d0b33465f7ea441d42b345930",
+    "analyze --json": "1ec85b169b2b465e61138e9287058e3aad4e45f4f178770356ce1a37404f323e",
+    "oracle": "efe52a842e1ed51b4eee97f0335ecdd1c69dcdc1549da3a3c0fad7ebe86009eb",
+    "oracle --json": "c775c129d8e2c8ca0b3f56bcf11f1cd9b6fa916ec41bc257103c55730467dfdc",
+    "statespace": "f89869ac37fba3af7ad61ced938e2f4abc8894d7a895e0a61c2267b7b996d858",
+    "statespace --json": "d69e2c084161b7be73f2899c69df4aff0082845581bffdc9458076848cbca4ab",
+    "oracle --mode statespace_strict": "471a15a1948a00de4d016ec37048d62caff4ce6cbfbf4ca19fdb94aaa24b55cc",
+    "oracle --mode statespace_strict --json": "4f08670b337a2f69f1ca5f5ba679d0259bcdd39eb77c1dfbcae9a8c271aed610",
+}
+
+
+def digest(command: str) -> str:
+    """Sha256 over the exit code, stdout and stderr of ``command`` on each of its corpus texts, read from stdin."""
+    patterns, systems = corpus()
+    texts = {"patterns": patterns, "systems": systems, "both": patterns + systems}[COMMANDS[command]]
+    h = hashlib.sha256()
+    for text in texts:
+        out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command.split(), "-"])
+        finally:
+            sys.stdin = stdin
+        h.update(f"{code}\n{out.getvalue()}\0{err.getvalue()}\0".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_output_matches_recorded_digest(command):
+    assert digest(command) == DIGESTS[command], f"`structctrl {command}` output changed on the corpus"
+
+
+if __name__ == "__main__":
+    for command in COMMANDS:
+        print(f'    "{command}": "{digest(command)}",')
