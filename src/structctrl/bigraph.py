@@ -48,8 +48,9 @@ class WeightedBigraph:
         for r, c, _ in self.edges:
             r_adj[r].append(c)
             c_adj[c].append(r)
-        self.r_adj = tuple(tuple(cs) for cs in r_adj)
-        self.c_adj = tuple(tuple(rs) for rs in c_adj)
+        # lists, not generators, for tuple(): see instantiate in oracle.py
+        self.r_adj = tuple([tuple(cs) for cs in r_adj])
+        self.c_adj = tuple([tuple(rs) for rs in c_adj])
 
     def __eq__(self, other):
         if not isinstance(other, WeightedBigraph):

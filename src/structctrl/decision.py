@@ -96,7 +96,7 @@ def analyze_reduction(rg: ReducedGraph) -> AnalysisReport:
         verdict=UNCONTROLLABLE if witness else CONTROLLABLE,
         minimal=rg.base_rank == rg.graph.r_count,
         term_rank=rg.base_rank,
-        redundant_edges=tuple((r, c) for r, c, _ in rg.redundant),
+        redundant_edges=tuple([(r, c) for r, c, _ in rg.redundant]),
         components=comps,
         witness=witness,
     )

@@ -6,15 +6,17 @@ concrete instances.  The pattern model, the generic pencil [sI - A  B]
 included, is answered by the minor gcd: fill the pattern with random
 integer-coefficient polynomials, take the gcd of all maximal minors, and
 test whether it is constant (empty zero set) or not.  The minors come one
-at a time, until the gcd is constant, from one Laplace expansion that walks
-only the nonzero entries and whose memo they all share (Gentleman and
-Johnson 1976).  A single random integer point almost surely avoids any
-fixed degeneracy variety, so one constant-gcd witness settles "generically
-empty"; a claim of "generically nonempty" is accepted only when every seed
-fails.  The true pencil, exactly s on the diagonal where A_ii = 0, is
-answered by the Krylov rank: by the Popov-Belevitch-Hautus test (Hautus
-1969) its maximal minors have a gcd of degree n - rank [B, AB, ...,
-A^(n-1) B] at every numeric instance.
+at a time, until the gcd is constant, from one Laplace expansion of the
+pattern that walks only the nonzero entries: it is planned once per call,
+its memo shared by all the minors (Gentleman and Johnson 1976), and
+replayed for each seed with every polynomial packed into one integer
+(Kronecker substitution).  A single random integer point almost surely
+avoids any fixed degeneracy variety, so one constant-gcd witness settles
+"generically empty"; a claim of "generically nonempty" is accepted only
+when every seed fails.  The true pencil, exactly s on the diagonal where
+A_ii = 0, is answered by the Krylov rank: by the Popov-Belevitch-Hautus
+test (Hautus 1969) its maximal minors have a gcd of degree
+n - rank [B, AB, ..., A^(n-1) B] at every numeric instance.
 
 A polynomial is the tuple of its coefficients in ascending degree, with no
 trailing zero; the zero polynomial is the empty tuple.  Both checks draw
@@ -111,82 +113,146 @@ def instantiate(pattern: PolyPattern, seed: int, coeff_bound: int = DEFAULT_COEF
     are zero and have no triple.
     """
     rng = random.Random(seed)
-    entries = [(i, j, tuple(_nonzero_int(rng, coeff_bound) for _ in range(d + 1))) for i, j, d in pattern.sorted_entries()]
+    # tuple() of a list allocates the final size; of a generator it allocates 10 slots and
+    # resizes, so the interpreter's tuple free lists fill up between full collections
+    entries = [(i, j, tuple([_nonzero_int(rng, coeff_bound) for _ in range(d + 1)])) for i, j, d in pattern.sorted_entries()]
     return ExactMatrix(pattern.rows, pattern.cols, tuple(entries))
 
 
-def _laplace(entries, memo: dict[int, list[int]], rows: int, cols: int, shift: int) -> list[int]:
-    """Determinant on two bitmasks of equal popcount, as a stripped coefficient list.
+def _pack(coeffs, width: int) -> int:
+    """The integer f(2^width) of a coefficient sequence, summed by halves."""
+    if len(coeffs) <= 1:
+        return coeffs[0] if coeffs else 0
+    mid = len(coeffs) // 2
+    return _pack(coeffs[:mid], width) + (_pack(coeffs[mid:], width) << width * mid)
 
-    Expands along the lowest remaining row i through its nonzero ``(column
-    bit, coefficients)`` pairs ``entries[i]``, skipping columns not in ``cols``;
-    the cofactor sign is the parity of ``(cols & (bit - 1)).bit_count()``.
-    ``memo``, keyed on ``rows << shift | cols`` and holding 0 -> [1], may be
-    shared by every minor and is read before each call, so a hit costs none.
-    It holds lists, not tuples: their allocations keep the collector's full
-    passes running, and only those clear the tuple free lists, which would grow.
+
+def _unpack(x: int, width: int, n: int, out: list[int]):
+    """Append n signed base-2^width digits of x, low first, found by halves; all but the last lie in [-2^(w-1), 2^(w-1))."""
+    if n == 1:
+        out.append(x)
+        return
+    mid = n // 2
+    bits = width * mid
+    low = x & (1 << bits) - 1
+    carry = low >> bits - 1
+    _unpack(low - (carry << bits), width, mid, out)
+    _unpack((x >> bits) + carry, width, n - mid, out)
+
+
+class _Plan:
+    """The Laplace expansion of one sparsity pattern's minors, shared by every instance of the pattern.
+
+    The states are the (row mask, column mask) pairs the expansion reaches,
+    numbered as they are completed, so a state's cofactors come before it.
+    State 0 stands for every structurally zero minor and state 1 is the
+    empty minor.  Every other state keeps its (signed entry index, cofactor
+    state) terms: it expands along its lowest row through that row's
+    entries in its columns, the sign is the parity of the columns left of
+    the entry's, and an index past the last entry names the entry negated.
+    Terms whose cofactor is structurally zero are left out, and a minor
+    left with no terms is structurally zero.  Iterating the plan yields the
+    state of each size-by-size minor that is not structurally zero, in
+    lexicographic order; it plans minors only as the scan first reaches
+    them, and sub-minors as a minor first needs them, so all the minors and
+    all the instances share one memo (Gentleman and Johnson 1976).
     """
-    low = rows & -rows
-    rest = rows ^ low
-    total: list[int] = []  # coefficients, summed in place
-    for bit, e in entries[low.bit_length() - 1]:
-        if not cols & bit:
-            continue
-        sub_cols = cols ^ bit
-        sub = memo.get(rest << shift | sub_cols)
-        if sub is None:
-            sub = _laplace(entries, memo, rest, sub_cols, shift)
-        if not sub:
-            continue
-        if len(total) < len(e) + len(sub) - 1:
-            total.extend([0] * (len(e) + len(sub) - 1 - len(total)))
-        sign = -1 if (cols & (bit - 1)).bit_count() & 1 else 1
-        for i, a in enumerate(e):
-            a *= sign
-            for j, b in enumerate(sub, i):
-                total[j] += a * b
-    while total and total[-1] == 0:
-        total.pop()
-    memo[rows << shift | cols] = total
-    return total
+
+    def __init__(self, rows: int, cols: int, entries, size: int):
+        """Plan for the size-by-size minors of rows-by-cols matrices whose k-th entry sits at entries[k][:2]."""
+        n_rows, n_cols = sorted((rows, cols))
+        self.row_entries = [[] for _ in range(n_rows)]  # (column bit, entry index) per expansion row
+        for k, (i, j, _) in enumerate(entries):
+            i, j = (i, j) if rows <= cols else (j, i)  # a tall matrix is expanded as its transpose
+            self.row_entries[i].append((1 << j, k))
+        self.negated = len(entries)
+        self.shift = n_cols
+        self.index = {0: 1}  # rows << shift | cols -> state
+        self.terms: list[tuple[tuple[int, int], ...]] = [(), ()]
+        self.minors: list[int] = []
+        self._scan = (
+            (sum(r), sum(c))
+            for r in combinations([1 << i for i in range(n_rows)], size)
+            for c in combinations([1 << j for j in range(n_cols)], size)
+        )
+
+    def _state(self, rows: int, cols: int) -> int:
+        """Plan the minor on two bitmasks of equal popcount, not yet in the index, and return its state."""
+        index, shift, negated = self.index, self.shift, self.negated
+        low = rows & -rows
+        rest = rows ^ low
+        terms = []
+        for bit, k in self.row_entries[low.bit_length() - 1]:
+            if cols & bit:
+                sub = index.get(rest << shift | cols ^ bit)
+                if sub is None:
+                    sub = self._state(rest, cols ^ bit)
+                if sub:
+                    terms.append((k + negated * ((cols & (bit - 1)).bit_count() & 1), sub))
+        state = 0
+        if terms:
+            state = len(self.terms)
+            self.terms.append(tuple(terms))
+        index[rows << shift | cols] = state
+        return state
+
+    def __iter__(self) -> Iterator[int]:
+        yield from self.minors
+        for rows, cols in self._scan:
+            state = self.index.get(rows << self.shift | cols)
+            if state is None:
+                state = self._state(rows, cols)
+            if state:
+                self.minors.append(state)
+                yield state
 
 
-def minor_gcd(matrix: ExactMatrix, size: int) -> tuple[int, ...] | None:
+def minor_gcd(matrix: ExactMatrix, size: int, plan: _Plan | None = None) -> tuple[int, ...] | None:
     """Monic gcd mod q of all size-by-size minors, as residues in [0, q); None if every minor vanishes.
 
-    The triples are grouped into per-row ``(column bit, coeffs)`` lists; a
-    tall matrix swaps i and j, which transposes it and keeps every minor.
-    Minors come in lexicographic order through one shared Laplace memo,
-    exact over Z, and are reduced mod q, skipping those that vanish.  The
-    true gcd h divides every minor over Z, so once one keeps its degree mod
-    q, h does too, and a constant gcd mod q ends the scan.  The degree bounds
-    deg h from above, equal unless q divides a resultant of the cofactors;
-    if no minor keeps its degree mod q, GuardLimitError is raised.
+    ``plan`` is the expansion of the matrix's own positions at this size;
+    it may come from an earlier instance of the same pattern, and a fresh
+    one is made without it.  Each polynomial is packed into the integer
+    f(2^w) (Kronecker substitution), so a product is one integer product.
+    The product of the expansion rows' coefficient l1 sums bounds every
+    coefficient of every minor, and the slot width w is one bit more than
+    that bound needs, so a minor unpacks exactly into signed digits.
+    Minors come in lexicographic order, exact over Z, and are reduced mod
+    q, skipping those that vanish.  The true gcd h divides every minor over
+    Z, so once one keeps its degree mod q, h does too, and a constant gcd
+    mod q ends the scan.  The degree bounds deg h from above, equal unless
+    q divides a resultant of the cofactors; if no minor keeps its degree
+    mod q, GuardLimitError is raised.
     """
-    n_rows, n_cols = sorted((matrix.rows, matrix.cols))
-    triples = matrix.entries if matrix.rows <= matrix.cols else ((j, i, c) for i, j, c in matrix.entries)
-    entries = [[] for _ in range(n_rows)]
-    for i, j, coeffs in triples:
-        entries[i].append((1 << j, coeffs))
-    memo = {0: [1]}
+    if plan is None:
+        plan = _Plan(matrix.rows, matrix.cols, matrix.entries, size)
+    l1 = [sum(map(abs, coeffs)) for _, _, coeffs in matrix.entries]
+    width = math.prod(max(sum(l1[k] for _, k in row), 1) for row in plan.row_entries).bit_length() + 1
+    packed = [_pack(coeffs, width) for _, _, coeffs in matrix.entries]
+    signed = packed + [-x for x in packed]
+    values = [0, 1]
+    terms = plan.terms
     acc: list[int] = []
     certified = None  # False once a minor is nonzero, True once one keeps its degree mod q
-    for rows in combinations([1 << i for i in range(n_rows)], size):
-        row_mask = sum(rows)
-        for cols in combinations([1 << j for j in range(n_cols)], size):
-            col_mask = sum(cols)
-            d = memo.get(row_mask << n_cols | col_mask)
-            if d is None:
-                d = _laplace(entries, memo, row_mask, col_mask, n_cols)
+    for state in plan:
+        for expansion in terms[len(values) : state + 1]:
+            total = 0
+            for k, sub in expansion:
+                total += signed[k] * values[sub]
+            values.append(total)
+        if x := values[state]:
+            d: list[int] = []
+            _unpack(x, width, x.bit_length() // width + 1, d)  # at least deg + 1 digits
+            while d[-1] == 0:
+                d.pop()
+            certified = certified or d[-1] % _PRIME != 0
+            d = [c % _PRIME for c in d]
+            while d and d[-1] == 0:
+                d.pop()
             if d:
-                certified = certified or d[-1] % _PRIME != 0
-                d = [c % _PRIME for c in d]
-                while d and d[-1] == 0:
-                    d.pop()
-                if d:
-                    acc = _gcd(acc, d)
-                    if len(acc) == 1 and certified:
-                        return (1,)
+                acc = _gcd(acc, d)
+                if len(acc) == 1 and certified:
+                    return (1,)
     if certified is False:
         raise GuardLimitError("no nonzero minor keeps its degree mod 2^61 - 1; lower the coefficient bound")
     return tuple(acc) if certified else None
@@ -210,8 +276,9 @@ def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound) -> Iterator[int]
             f"minor enumeration guarded at {ZERO_SET_MAX_MINORS} minors, "
             f"pattern is {pattern.rows}x{pattern.cols} with {minors} minors of order {rank}"
         )
+    plan = _Plan(pattern.rows, pattern.cols, pattern.sorted_entries(), rank)  # instantiate keeps this order
     for seed in seeds:
-        g = minor_gcd(instantiate(pattern, seed, coeff_bound), rank)
+        g = minor_gcd(instantiate(pattern, seed, coeff_bound), rank, plan)
         yield -1 if g is None else len(g) - 1
 
 

@@ -203,11 +203,37 @@ class TestStatespace:
         obj = json.loads(out)
         assert obj["state_connectivity"] == [True] * 5 + [False]
         assert obj["cross_check_disagreement"] is None
-        # a disagreeing Kalman check shows which checks ran: the zero set did not
+        # a disagreeing Kalman check shows which checks ran: the generic zero set
+        # did not, and the forced-monomial one is the Kalman answer (PBH)
         monkeypatch.setattr(cli, "kalman_controllable", lambda *args: True)
         code, out, _ = run(capsys, "statespace", "--json", str(f))
         assert code == 1
-        assert json.loads(out)["cross_check_disagreement"] == {"kalman_rank_full": True}
+        assert json.loads(out)["cross_check_disagreement"] == {"kalman_rank_full": True, "zero_set_empty_strict": True}
+
+    # 7 states all driven through state 2, one input into it: past the generic
+    # zero set's dimension guard, inside Kalman's
+    SHARED_DRIVE_7 = "statespace 7 1\n" + "".join(f"a {i} 2\n" for i in range(1, 8)) + "b 2 1\n"
+
+    def test_zero_set_guard_keeps_the_forced_monomial_answer(self, tmp_path, capsys):
+        f = tmp_path / "ss.txt"
+        f.write_text(self.SHARED_DRIVE_7)
+        code, out, _ = run(capsys, "statespace", "--json", str(f))
+        assert code == 0
+        assert json.loads(out)["cross_check_disagreement"] == {"kalman_rank_full": False, "zero_set_empty_strict": False}
+        code, out, _ = run(capsys, "statespace", str(f))
+        assert code == 0
+        assert out[out.index("note:") :] == (
+            "note: fixed-coefficient cross-checks disagree with the structural verdict.\n"
+            "  controllability-matrix rank over random integer instances: deficient\n"
+            "  zero set empty, forced-monomial diagonal: no\n"
+            "  the structural model treats every diagonal derivative term as an arbitrary\n"
+            "  degree-1 polynomial; with zero diagonal entries in the state matrix the true\n"
+            "  pencil can lose rank at s = 0. see README, 'When the two conventions disagree'.\n"
+        )
+        # the same answer as the true pencil's gcd degrees: 7 - Krylov rank 2
+        code, out, _ = run(capsys, "oracle", "--mode", "statespace_strict", "--json", str(f))
+        assert code == 1
+        assert json.loads(out)["seed_gcd_degrees"] == [5] * 5
 
     def test_one_pencil_per_op(self, capsys, monkeypatch):
         calls = {"controllability_pencil": 0, "build_graph": 0}

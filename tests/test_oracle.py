@@ -382,6 +382,82 @@ def test_minor_gcd_matches_per_minor_reference(pattern, seed, coeff_bound):
         assert minor_gcd(matrix, k) == reference_minor_gcd(matrix, k)
 
 
+
+BIG = 2**80
+
+
+@st.composite
+def big_matrices(draw):
+    """Matrices up to 3x4 and 4x3, tall, wide and square, whose entries have degree up to 12 and
+    signed coefficients up to 2^80 in magnitude, the leading one included."""
+    rows, cols = draw(st.sampled_from([(r, c) for r in range(1, 5) for c in range(1, 5) if r * c <= 12]))
+    cells = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)), min_size=1, max_size=6, unique=True))
+    coeff = st.one_of(st.integers(-BIG, BIG), st.sampled_from((-BIG, BIG)))
+    lead = st.one_of(st.integers(-BIG, -1), st.integers(1, BIG), st.sampled_from((-BIG, BIG)))
+    entries = []
+    for i, j in sorted(cells):
+        coeffs = draw(st.lists(coeff, max_size=12)) + [draw(lead)]
+        entries.append((i, j, tuple(coeffs)))
+    return ExactMatrix(rows, cols, tuple(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_matrices())
+def test_minor_gcd_unpacks_large_signed_coefficients(matrix):
+    # each polynomial is packed into one integer; a slot too narrow for a minor's coefficients corrupts the gcd
+    for k in range(1, min(matrix.rows, matrix.cols) + 1):
+        assert minor_gcd(matrix, k) == reference_minor_gcd(matrix, k)
+
+
+@pytest.mark.parametrize("rows, cols, degree", [(1, 1, 0), (2, 2, 0), (3, 3, 0), (1, 3, 2), (3, 2, 1), (2, 3, 3), (2, 2, 5)])
+def test_minor_gcd_at_the_coefficient_bound(rows, cols, degree):
+    # every coefficient is +-2^80: a diagonal of + signs makes a minor's coefficient
+    # equal the slot bound itself, the product of the rows' l1 sums
+    diagonal = ExactMatrix(rows, cols, tuple((i, i, (BIG,) * (degree + 1)) for i in range(min(rows, cols))))
+    rng = random.Random(rows * 100 + cols * 10 + degree)
+    signs = [[[rng.choice((BIG, -BIG)) for _ in range(degree + 1)] for _ in range(cols)] for _ in range(rows)]
+    full = ExactMatrix(rows, cols, tuple((i, j, tuple(signs[i][j])) for i in range(rows) for j in range(cols)))
+    for matrix in (diagonal, full):
+        for k in range(1, min(rows, cols) + 1):
+            assert minor_gcd(matrix, k) == reference_minor_gcd(matrix, k)
+
+
+def test_full_2x2_of_high_degree_matches_reference():
+    matrix = instantiate(PolyPattern(2, 2, {(i, j): 400 for i in range(2) for j in range(2)}), 0)
+    assert minor_gcd(matrix, 2) == reference_minor_gcd(matrix, 2)
+
+
+def test_one_expansion_per_call(monkeypatch):
+    # the first row holds one entry, of degree 1: it divides every maximal minor, so every seed scans them all
+    pattern = PolyPattern(3, 4, {(0, 0): 1, (1, 1): 0, (1, 2): 1, (1, 3): 0, (2, 1): 1, (2, 2): 0, (2, 3): 1})
+    plans, states, seen = [], [], []
+
+    class CountingPlan(oracle._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+        def _state(self, *args):
+            states.append(args)
+            return super()._state(*args)
+
+    real_minor_gcd = oracle.minor_gcd
+
+    def spying_minor_gcd(matrix, size, plan=None):
+        seen.append(plan)
+        return real_minor_gcd(matrix, size, plan)
+
+    monkeypatch.setattr(oracle, "_Plan", CountingPlan)
+    monkeypatch.setattr(oracle, "minor_gcd", spying_minor_gcd)
+    assert zero_set_gcd_degrees(pattern, (0,)) == [1]
+    one_seed = len(states)
+    assert zero_set_gcd_degrees(pattern, SEEDS) == [1] * 5
+    # the second call plans afresh, once for its five seeds, and expands each minor once
+    assert len(plans) == 2 and plans[1] is not plans[0]
+    assert len(states) == 2 * one_seed
+    assert seen == [plans[0]] + [plans[1]] * 5
+
+
 class TestKalman:
     def test_controller_canonical(self):
         assert kalman_controllable(controller_canonical(3), SEEDS) is True
