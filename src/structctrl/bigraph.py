@@ -8,9 +8,9 @@ the entry is identically zero.
 Graph values are immutable after construction and all functions here are
 pure, so they are safe to share across threads.  The one constructor checks
 nothing: it takes edges that are already in range, unique and sorted, which
-``build_graph`` reads off a ``PolyPattern`` (checked by the pattern or the
-parser) and the reduction keeps in order from such a graph.  So every edge is
-checked once, before any graph exists, and no raw edge list is public.  One
+``build_graph``, its one caller, reads off a ``PolyPattern`` (checked by the
+pattern or the parser).  So every edge is checked once, before any graph
+exists, and no raw edge list is public.  One
 maximum-matching search, Pothen and Fan's depth-first augmenting search with
 lookahead, serves ``term_rank`` and the reduction; it returns the mates of
 each row and column as plain lists.

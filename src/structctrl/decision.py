@@ -77,7 +77,7 @@ def generic_unimodular(pattern: PolyPattern) -> bool:
     if pattern.rows != pattern.cols:
         raise ValueError(f"unimodularity requires a square pattern, got {pattern.rows}x{pattern.cols}")
     rg = remove_redundant_edges(build_graph(pattern))
-    return rg.base_rank == pattern.rows and all(w == 0 for _, _, w in rg.graph.edges)
+    return rg.base_rank == pattern.rows and all(w == 0 for _, _, w in rg.edges)
 
 
 def analyze_reduction(rg: ReducedGraph) -> AnalysisReport:
@@ -94,7 +94,7 @@ def analyze_reduction(rg: ReducedGraph) -> AnalysisReport:
 
     return AnalysisReport(
         verdict=UNCONTROLLABLE if witness else CONTROLLABLE,
-        minimal=rg.base_rank == rg.graph.r_count,
+        minimal=rg.base_rank == rg.r_count,
         term_rank=rg.base_rank,
         redundant_edges=tuple([(r, c) for r, c, _ in rg.redundant]),
         components=comps,

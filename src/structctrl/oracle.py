@@ -26,8 +26,9 @@ Euclid mod q on minors exact over Z, and the Kalman test ranks the Krylov
 closure of B under A mod q.  Both checks are guarded: the zero-set test at
 min(p, v) <= ZERO_SET_MAX_DIM, at most ZERO_SET_MAX_COEFFS coefficients
 drawn per instance (the sum of degree + 1 over the entries, which also
-bounds every minor's degree) and at most ZERO_SET_MAX_MINORS maximal
-minors, the Kalman test at n <= KALMAN_MAX_STATES; past a guard they raise
+bounds every minor's degree), at most ZERO_SET_MAX_MINORS maximal minors
+and at most ZERO_SET_MAX_EUCLID coefficient products for Euclid per seed,
+the Kalman test at n <= KALMAN_MAX_STATES; past a guard they raise
 GuardLimitError.
 """
 
@@ -57,6 +58,7 @@ DEFAULT_COEFF_BOUND = 99
 ZERO_SET_MAX_DIM = 6
 ZERO_SET_MAX_MINORS = 10_000  # C(p, r) * C(v, r) maximal minors, enumerated per seed
 ZERO_SET_MAX_COEFFS = 25_000  # sum of (degree + 1) over the entries: coefficients drawn per seed
+ZERO_SET_MAX_EUCLID = 2_000_000  # Euclid coefficient products per seed; 1.3 s at the edge (1x2, degree 1,413), 2-vCPU x86_64 VM
 KALMAN_MAX_STATES = 12
 _PRIME = 2**61 - 1  # both exact checks reduce into this field
 
@@ -258,6 +260,33 @@ def minor_gcd(matrix: ExactMatrix, size: int, plan: _Plan | None = None) -> tupl
     return tuple(acc) if certified else None
 
 
+def _euclid_work(pattern: PolyPattern, rank: int, minors: int) -> tuple[int, int, int]:
+    """A bound on Euclid's coefficient products in one seed's scan, and the two minor degree bounds behind it.
+
+    A minor's degree is at most the sum, over its rows, of each row's
+    largest entry degree, and likewise over its columns.  So d1, the
+    smaller of the best such sum over rank rows and the best over rank
+    columns, bounds every minor; d2, from the second-best sums, bounds
+    every minor but the one on the best rows and the best columns, as
+    every other misses one of those two sets.  Euclid on
+    degrees a and b costs O((a + 1)(b + 1)) products.  The first gcd meets
+    two minors, one of degree <= d2, and the running gcd then has degree
+    <= d2, so each of the minors - 1 gcds costs at most (d1 + 1)(d2 + 1).
+    d2 is -1 when one minor alone can be nonzero.
+    """
+    bounds = []
+    for side in (0, 1):
+        top: dict[int, int] = {}
+        for pos, d in pattern.entries.items():
+            top[pos[side]] = max(top.get(pos[side], 0), d)
+        x = sorted(top.values(), reverse=True)
+        best = sum(x[:rank])
+        bounds.append((best, best - x[rank - 1] + x[rank] if len(x) > rank else -1))
+    d1 = min(best for best, _ in bounds)
+    d2 = min(d1, max(second for _, second in bounds))
+    return (minors - 1) * (d1 + 1) * (d2 + 1), d1, d2
+
+
 def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound) -> Iterator[int]:
     """Check the arguments, then lazily yield each seed's maximal-minor gcd degree (-1: every minor vanishes)."""
     if not pattern.entries:  # term rank 0; checked, like the size guards, before the matching
@@ -275,6 +304,12 @@ def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound) -> Iterator[int]
         raise GuardLimitError(
             f"minor enumeration guarded at {ZERO_SET_MAX_MINORS} minors, "
             f"pattern is {pattern.rows}x{pattern.cols} with {minors} minors of order {rank}"
+        )
+    work, d1, d2 = _euclid_work(pattern, rank, minors)
+    if work > ZERO_SET_MAX_EUCLID:
+        raise GuardLimitError(
+            f"gcd guarded at {ZERO_SET_MAX_EUCLID} coefficient products per seed, pattern is {pattern.rows}x{pattern.cols} "
+            f"with {minors} minors of degree up to {d1} (all but one up to {d2}): {work}"
         )
     plan = _Plan(pattern.rows, pattern.cols, pattern.sorted_entries(), rank)  # instantiate keeps this order
     for seed in seeds:

@@ -6,7 +6,12 @@ A_ii is nonzero), off-diagonal A positions and all B positions carry
 constants.  In the graph, the degree-1 diagonal edges pair equation i with
 state i; they form a row-saturating matching, so they all survive
 reduction, and controllability becomes reachability: each state vertex
-must share a reduced-graph component with some input vertex.
+must share a reduced-graph component with some input vertex.  With every
+row matched the reduction finds no H part; the input columns, never
+matched, seed V, so the states joined to an input make up the V
+components and every other state lies in a square block.  A component's
+columns are sorted and the inputs come last, so it holds an input exactly
+when its last column is one.
 
 Note the modeling convention: the diagonal entry is treated as an
 arbitrary degree-1 polynomial even when A_ii = 0, where the true entry is
@@ -65,7 +70,7 @@ def analyze_statespace(ss: StateSpacePattern) -> StateSpaceReport:
     # The components partition the columns, so one pass marks every state.
     connected = [False] * ss.n
     for comp in base.components:
-        if any(col >= ss.n for col in comp.cols):
+        if comp.cols[-1] >= ss.n:
             for col in comp.cols:
                 if col < ss.n:
                     connected[col] = True

@@ -145,17 +145,9 @@ def edge_is_redundant(g: WeightedBigraph, edge: tuple[int, int], rank: int) -> b
     return term_rank(rest) < rank - 1
 
 
-def reference_reduction(g: WeightedBigraph) -> ReducedGraph:
-    """The reduction of ``g`` as ``edge_is_redundant`` classifies its edges.
-
-    Edges of one maximum matching lie in a maximum matching by definition
-    and are kept without a search.
-    """
-    rank = term_rank(g)
-    matched = max_matching(g).pairs
-    redundant = tuple(e for e in g.edges if (e[0], e[1]) not in matched and edge_is_redundant(g, (e[0], e[1]), rank))
-    kept = [e for e in g.edges if e not in redundant]
-    return ReducedGraph(graph=graph(g.r_count, g.c_count, kept), redundant=redundant, base_rank=rank)
+def reduced_graph(rg: ReducedGraph) -> WeightedBigraph:
+    """The graph of a reduction's kept edges, for tests that search or reduce it again."""
+    return graph(rg.r_count, rg.c_count, rg.edges)
 
 
 class _DisjointSet:
@@ -179,37 +171,86 @@ class _DisjointSet:
             self.parent[rb] = ra
 
 
-def reference_components(rg: ReducedGraph) -> list[Component]:
-    """Connected components by union-find, ordered by smallest vertex number (rows first, then columns).
+def _union_find_groups(r_count: int, c_count: int, edges) -> tuple[_DisjointSet, list[int]]:
+    """Union-find over the vertices (rows first, then columns) joined by ``edges``, and its roots in ascending order.
 
-    The library labels components in one graph search; this is the
-    reference it is checked against.
+    The smaller root wins each union, so each root is its group's smallest vertex.
     """
-    g = rg.graph
-    dsu = _DisjointSet(g.r_count + g.c_count)
-    for r, c, _ in g.edges:
-        dsu.union(r, g.r_count + c)
+    dsu = _DisjointSet(r_count + c_count)
+    for r, c, _ in edges:
+        dsu.union(r, r_count + c)
+    return dsu, sorted({dsu.find(v) for v in range(r_count + c_count)})
 
-    groups: dict[int, list[int]] = {}
-    for v in range(g.r_count + g.c_count):
-        groups.setdefault(dsu.find(v), []).append(v)
+
+def reference_reduction(g: WeightedBigraph) -> ReducedGraph:
+    """The reduction of ``g`` as ``edge_is_redundant`` classifies its edges, components numbered by union-find.
+
+    Edges of one maximum matching lie in a maximum matching by definition
+    and are kept without a search.
+    """
+    rank = term_rank(g)
+    matched = max_matching(g).pairs
+    redundant = tuple(e for e in g.edges if (e[0], e[1]) not in matched and edge_is_redundant(g, (e[0], e[1]), rank))
+    kept = tuple(e for e in g.edges if e not in redundant)
+    dsu, roots = _union_find_groups(g.r_count, g.c_count, kept)
+    number = {root: k for k, root in enumerate(roots)}
+    labels = tuple(number[dsu.find(v)] for v in range(g.r_count + g.c_count))
+    return ReducedGraph(g.r_count, g.c_count, kept, redundant, rank, labels[: g.r_count], labels[g.r_count :])
+
+
+def reference_components(rg: ReducedGraph) -> list[Component]:
+    """Connected components of the kept edges by union-find, ordered by smallest vertex number (rows first, then columns).
+
+    The library labels components from its edge classification; this is the
+    reference it is checked against, and reads only ``rg``'s kept edges.
+    """
+    dsu, roots = _union_find_groups(rg.r_count, rg.c_count, rg.edges)
+    groups: dict[int, list[int]] = {root: [] for root in roots}
+    for v in range(rg.r_count + rg.c_count):
+        groups[dsu.find(v)].append(v)
     edges_by_root: dict[int, list[tuple[int, int, int]]] = {}
-    for e in g.edges:
+    for e in rg.edges:
         edges_by_root.setdefault(dsu.find(e[0]), []).append(e)
 
     components = []
-    for root in sorted(groups):
+    for root in roots:
         members = groups[root]
-        rows = tuple(v for v in members if v < g.r_count)
-        cols = tuple(v - g.r_count for v in members if v >= g.r_count)
+        rows = tuple(v for v in members if v < rg.r_count)
+        cols = tuple(v - rg.r_count for v in members if v >= rg.r_count)
         edges = tuple(edges_by_root.get(root, ()))
         components.append(Component(rows, cols, edges, max((w for _, _, w in edges), default=0)))
     return components
 
 
+def open_parts(g: WeightedBigraph) -> tuple[set[int], set[int], set[int], set[int]]:
+    """Rows and columns of the Dulmage-Mendelsohn parts H and V, by breadth-first alternating search.
+
+    H: the rows reached from unmatched rows along (row -> any column ->
+    its mate) steps, and the columns next to them.  V: the columns reached
+    from unmatched columns along (column -> any row -> its mate) steps, and
+    the rows next to them.  Returns (H rows, H columns, V rows, V columns).
+    """
+    pairs = max_matching(g).pairs
+    col_of = dict(pairs)
+    row_of = {c: r for r, c in pairs}
+    h_rows = {r for r in range(g.r_count) if r not in col_of}
+    frontier = list(h_rows)
+    while frontier:
+        frontier = {row_of[c] for r in frontier for c in g.r_adj[r] if c in row_of} - h_rows
+        h_rows |= frontier
+    v_cols = {c for c in range(g.c_count) if c not in row_of}
+    frontier = list(v_cols)
+    while frontier:
+        frontier = {col_of[r] for c in frontier for r in g.c_adj[c] if r in col_of} - v_cols
+        v_cols |= frontier
+    h_cols = {c for r in h_rows for c in g.r_adj[r]}
+    v_rows = {r for c in v_cols for r in g.c_adj[c]}
+    return h_rows, h_cols, v_rows, v_cols
+
+
 def reference_witness(rg: ReducedGraph, components: list[Component]) -> Witness | None:
     """The first square component with a weighted edge, and its least weighted edge sorted by (row, col)."""
-    weights = {(r, c): w for r, c, w in rg.graph.edges}
+    weights = {(r, c): w for r, c, w in rg.edges}
     for idx, comp in enumerate(components):
         if len(comp.rows) != len(comp.cols):
             continue
@@ -269,9 +310,9 @@ def forced_subset_criterion(pattern: PolyPattern, max_rows: int = 8) -> bool:
         raise ValueError("subset criterion requires full row term rank")
     rg = remove_redundant_edges(g)
     # Saturating matchings of the reduced graph are exactly those of g.
-    images = [dict(m.sorted_pairs()) for m in matchings_of_size(rg.graph, g.r_count, max_rows)]
+    images = [dict(m.sorted_pairs()) for m in matchings_of_size(reduced_graph(rg), g.r_count, max_rows)]
 
-    heavy_rows = {r for r, _, w in rg.graph.edges if w >= 1}
+    heavy_rows = {r for r, _, w in rg.edges if w >= 1}
     if not heavy_rows:
         return True
     rows = range(g.r_count)
@@ -595,6 +636,34 @@ def random_pattern(
     count = rng.randint(1, min(max_edges, len(cells)))
     chosen = rng.sample(cells, count)
     return PolyPattern(rows, cols, {cell: rng.randint(0, max_degree) for cell in chosen})
+
+
+def planted_statespace(rng: random.Random, n: int, m: int, planted: int) -> StateSpacePattern:
+    """Sparse (A, B) in which a random tree from the inputs reaches every state outside a planted block.
+
+    Each row reads up to two more random states, the ``planted`` block
+    rows only block states, and no block row gets an input, so no path
+    enters the block; each diagonal A entry is present with probability 1/2.
+    """
+    block = set(rng.sample(range(n), planted))
+    reached = [s for s in range(n) if s not in block]
+    rng.shuffle(reached)
+    a: set[tuple[int, int]] = set()
+    b: set[tuple[int, int]] = set()
+    for idx, state in enumerate(reached):
+        parent = rng.randrange(idx + m) - m  # negative: one of the m inputs
+        if parent < 0:
+            b.add((state, -parent - 1))
+        else:
+            a.add((state, reached[parent]))
+    for i in range(n):
+        if rng.randrange(2):
+            a.add((i, i))
+        for _ in range(2):
+            j = rng.randrange(n)
+            if i not in block or j in block:
+                a.add((i, j))
+    return StateSpacePattern(n, m, frozenset(a), frozenset(b))
 
 
 def random_statespace(rng: random.Random, max_n: int = 6, max_m: int = 2) -> StateSpacePattern:

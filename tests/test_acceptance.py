@@ -139,7 +139,7 @@ def test_a06_connectivity_criterion_equivalence():
         rep = analyze_statespace(ss)
         assert rep.controllable == all(rep.state_connectivity)
         rg = remove_redundant_edges(build_graph(controllability_pencil(ss)))
-        kept = {(r, c) for r, c, _ in rg.graph.edges}
+        kept = {(r, c) for r, c, _ in rg.edges}
         assert all((i, i) in kept for i in range(ss.n))
         for comp in connected_components(rg):
             inputs = sum(1 for c in comp.cols if c >= ss.n)

@@ -331,6 +331,16 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert err == "error: minor enumeration guarded at 10000 minors, pattern is 6x26 with 230230 minors of order 6\n"
 
+    def test_euclid_guard_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("pattern 1 2\nentry 1 1 12499\nentry 1 2 12499\n")
+        code, out, err = run(capsys, "oracle", "--json", str(f))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: gcd guarded at 2000000 coefficient products per seed, pattern is 1x2 "
+            "with 2 minors of degree up to 12499 (all but one up to 12499): 156250000\n"
+        )
+
     def test_strict_past_the_zero_set_guard_takes_the_krylov_rank(self, tmp_path, capsys):
         f = tmp_path / "ss.txt"
         f.write_text(WIDE_INPUTS)

@@ -10,6 +10,11 @@ digests with
     PYTHONPATH=src python tests/test_cli_corpus.py
 
 and logs the new values and the reason.
+
+A second corpus pins ``statespace`` on pencils with many or large
+components: gilbert_form(600), controller_canonical(120) and seeded random
+systems with n = 60-180 and a planted unreachable block.  Its digests are
+``LARGE_DIGESTS``.
 """
 
 import contextlib
@@ -21,11 +26,16 @@ from pathlib import Path
 
 import pytest
 
+from structctrl import controller_canonical, emit_statespace, gilbert_form
 from structctrl.cli import main
+
+from fixture_patterns import planted_statespace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CORPUS_SEED = 20_261_019
 CORPUS_SIZE = 150  # random patterns, and as many random systems
+LARGE_SEED = 20_261_020
+LARGE_PLANTED = ((60, 1), (60, 3), (120, 2), (180, 1), (180, 3))  # (n, m) of the planted systems
 
 
 def _random_pattern_text(rng: random.Random) -> str:
@@ -78,10 +88,31 @@ DIGESTS = {
 }
 
 
+def large_systems() -> list[str]:
+    """System texts of the large corpus: the two named families, then the seeded planted systems."""
+    rng = random.Random(LARGE_SEED)
+    systems = [gilbert_form(600), controller_canonical(120)]
+    systems += [planted_statespace(rng, n, m, n // 4) for n, m in LARGE_PLANTED]
+    return [emit_statespace(ss) for ss in systems]
+
+
+LARGE_COMMANDS = ("statespace", "statespace --json")
+
+# Recorded at 326aa7b, before components were read off the Dulmage-Mendelsohn parts.
+LARGE_DIGESTS = {
+    "statespace": "f483a05e36b09a632a2410ad98625cb815d2f56842c28e5ea8a7e7eab1fff5ad",
+    "statespace --json": "6160b5f3840e56288553b60a6124e9a1c03affb0a825ef52c415f9455ceb8dbe",
+}
+
+
 def digest(command: str) -> str:
-    """Sha256 over the exit code, stdout and stderr of ``command`` on each of its corpus texts, read from stdin."""
+    """Digest of ``command`` on each of its corpus texts."""
     patterns, systems = corpus()
-    texts = {"patterns": patterns, "systems": systems, "both": patterns + systems}[COMMANDS[command]]
+    return run_digest(command, {"patterns": patterns, "systems": systems, "both": patterns + systems}[COMMANDS[command]])
+
+
+def run_digest(command: str, texts: list[str]) -> str:
+    """Sha256 over the exit code, stdout and stderr of ``command`` on each text, read from stdin."""
     h = hashlib.sha256()
     for text in texts:
         out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
@@ -100,6 +131,15 @@ def test_output_matches_recorded_digest(command):
     assert digest(command) == DIGESTS[command], f"`structctrl {command}` output changed on the corpus"
 
 
+@pytest.mark.parametrize("command", LARGE_COMMANDS)
+def test_large_component_output_matches_recorded_digest(command):
+    got = run_digest(command, large_systems())
+    assert got == LARGE_DIGESTS[command], f"`structctrl {command}` output changed on the large corpus"
+
+
 if __name__ == "__main__":
     for command in COMMANDS:
         print(f'    "{command}": "{digest(command)}",')
+    texts = large_systems()
+    for command in LARGE_COMMANDS:
+        print(f'    "{command}": "{run_digest(command, texts)}",  # large')

@@ -321,6 +321,28 @@ class TestZeroSet:
         low_rank = PolyPattern(6, 26, {(i, j): 0 for i in range(6) for j in range(2)})
         assert zero_set_gcd_degrees(low_rank, (0,)) == [0]
 
+    def test_euclid_guard(self, monkeypatch):
+        assert oracle.ZERO_SET_MAX_EUCLID == 2_000_000
+        # a row of k entries of degree d: k - 1 gcds of at most (d + 1)^2 products each
+        at_cap = PolyPattern(1, 129, {(0, j): 124 for j in range(129)})  # 128 * 125^2 = 2,000,000
+        assert zero_set_gcd_degrees(at_cap, (0,)) == [0]
+        # one constant minor: the second largest minor degree is 0, whatever the first
+        assert oracle._euclid_work(PolyPattern(1, 2, {(0, 0): 24_998, (0, 1): 0}), 1, 2) == (24_999, 24_998, 0)
+        # one minor alone can be nonzero: no gcd step at all
+        assert oracle._euclid_work(PolyPattern(2, 2, {(0, 0): 6_000, (1, 1): 6_000}), 2, 1) == (0, 12_000, -1)
+
+        def no_minor(*args):
+            raise AssertionError("a minor was computed past the guard")
+
+        monkeypatch.setattr(oracle, "minor_gcd", no_minor)
+        past_cap = PolyPattern(1, 130, {(0, j): 124 for j in range(130)})  # 129 * 125^2
+        with pytest.raises(GuardLimitError, match=r"pattern is 1x130 with 130 minors of degree up to 124 \(all but one up to 124\): 2015625$"):
+            zero_set_gcd_degrees(past_cap, (0,))
+        # two coprime minors of degree 12,499: about 95 s per seed of quadratic Euclid
+        full_row = PolyPattern(1, 2, {(0, 0): 12_499, (0, 1): 12_499})
+        with pytest.raises(GuardLimitError, match="gcd guarded at 2000000 coefficient products per seed"):
+            zero_set_empty(full_row, SEEDS)
+
     def test_minor_gcd_none_when_rank_collapses(self):
         zero = ExactPoly()
         m = matrix_of([[P(1), zero], [P(1), zero]])

@@ -1,6 +1,7 @@
 """Redundant-edge classification, reduction, and connected components."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +19,15 @@ from structctrl import (
     remove_redundant_edges,
     term_rank,
 )
+from structctrl.bigraph import WeightedBigraph
 
 from fixture_patterns import (
     edge_is_redundant,
     graph,
     matchings_of_size,
+    open_parts,
+    planted_statespace,
+    reduced_graph,
     reference_components,
     reference_reduction,
     reference_witness,
@@ -60,7 +65,7 @@ class TestRemoveRedundantEdges:
         g = build_graph(controllability_pencil(shared_drive_ss()))
         rg = remove_redundant_edges(g)
         assert rg.redundant == ()
-        assert rg.graph == g
+        assert reduced_graph(rg) == g
 
     def test_starved_rows_drops_one_edge(self):
         rg = remove_redundant_edges(build_graph(starved_rows()))
@@ -75,14 +80,13 @@ class TestRemoveRedundantEdges:
 
     def test_idempotent(self):
         rg = remove_redundant_edges(build_graph(starved_rows()))
-        again = remove_redundant_edges(rg.graph)
-        assert again.redundant == ()
-        assert again.graph == rg.graph
+        again = remove_redundant_edges(reduced_graph(rg))
+        assert again == replace(rg, redundant=())
 
     def test_term_rank_preserved(self):
         g = build_graph(starved_rows())
         rg = remove_redundant_edges(g)
-        assert term_rank(rg.graph) == term_rank(g) == rg.base_rank
+        assert term_rank(reduced_graph(rg)) == term_rank(g) == rg.base_rank
 
     def test_edge_list_order_is_irrelevant(self):
         edges = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)]
@@ -95,7 +99,7 @@ class TestRemoveRedundantEdges:
     def test_zero_rank_graph(self):
         rg = remove_redundant_edges(graph(2, 2, []))
         assert rg.base_rank == 0
-        assert rg.graph.edges == ()
+        assert rg.edges == ()
 
 
 class TestComponents:
@@ -184,30 +188,41 @@ def test_reduction_matches_per_edge_reference(g):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(weighted_graphs(), seeded_large_graphs()))
 def test_reduced_graph_adjacency_follows_edges(g):
-    reduced = remove_redundant_edges(g).graph
-    assert same_graph(reduced, graph(g.r_count, g.c_count, list(reversed(reduced.edges))))
+    rg = remove_redundant_edges(g)
+    assert sorted(rg.edges + rg.redundant) == list(g.edges)
+    assert same_graph(reduced_graph(rg), graph(g.r_count, g.c_count, list(reversed(rg.edges))))
 
 
 @settings(max_examples=150, deadline=None)
 @given(weighted_graphs())
 def test_reduction_idempotent_and_rank_preserving(g):
     rg = remove_redundant_edges(g)
-    assert term_rank(rg.graph) == rg.base_rank == term_rank(g)
-    again = remove_redundant_edges(rg.graph)
-    assert again.redundant == ()
-    assert again.graph == rg.graph
+    reduced = reduced_graph(rg)
+    assert term_rank(reduced) == rg.base_rank == term_rank(g)
+    again = remove_redundant_edges(reduced)
+    assert again == replace(rg, redundant=())
 
 
 @st.composite
 def pencil_graphs(draw):
-    """Graphs of [sI - A  B] for controller_canonical and gilbert_form.
+    """Graphs of [sI - A  B] for controller_canonical, gilbert_form and seeded systems with a planted block.
 
     gilbert_form gives one square singleton component per unreachable
     state, each with a weighted edge; controller_canonical gives one
-    component.  Isolated columns come from the other graph strategies.
+    component.  A planted block of unreachable states gives square blocks
+    of one or more rows, the strongly connected parts of its A pattern,
+    beside the input-connected part.  Isolated columns and the H part come
+    from the other graph strategies.
     """
-    n = draw(st.integers(2, 80))
-    ss = draw(st.sampled_from((controller_canonical, gilbert_form)))(n)
+    n = draw(st.integers(2, 180))
+    kind = draw(st.sampled_from(("canonical", "gilbert", "planted")))
+    if kind == "canonical":
+        ss = controller_canonical(n)
+    elif kind == "gilbert":
+        ss = gilbert_form(n)
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        ss = planted_statespace(rng, n, rng.randint(1, 3), rng.randint(1, max(1, n // 3)))
     return build_graph(controllability_pencil(ss))
 
 
@@ -220,6 +235,45 @@ def test_components_and_witness_match_union_find_reference(g):
     assert comps == expected  # order, vertex tuples and edge tuples
     assert [c.max_weight for c in comps] == [c.max_weight for c in expected]
     assert analyze_reduction(rg).witness == reference_witness(rg, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(weighted_graphs(), seeded_large_graphs(), pencil_graphs()))
+def test_square_components_are_the_square_part_blocks(g):
+    """A component is square exactly when it lies in neither H nor V; the others lie wholly in one.
+
+    H (rows reached from unmatched rows) and V (columns reached from
+    unmatched columns) come from the test's own alternating search.  An H
+    component has more rows than columns, a V component more columns than
+    rows.
+    """
+    h_rows, h_cols, v_rows, v_cols = open_parts(g)
+    assert not h_rows & v_rows and not h_cols & v_cols
+    for comp in connected_components(remove_redundant_edges(g)):
+        rows, cols = set(comp.rows), set(comp.cols)
+        if len(rows) > len(cols):
+            assert rows <= h_rows and cols <= h_cols
+        elif len(rows) < len(cols):
+            assert rows <= v_rows and cols <= v_cols
+        else:
+            assert not rows & (h_rows | v_rows) and not cols & (h_cols | v_cols)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [starved_rows(), wide_2x3(), controllability_pencil(gilbert_form(40)), PolyPattern(3, 4, {(0, 0): 1, (1, 0): 0, (2, 2): 0})],
+)
+def test_one_graph_per_analysis(monkeypatch, pattern):
+    built = []
+    init = WeightedBigraph.__init__
+
+    def counting_init(self, *args):
+        built.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(WeightedBigraph, "__init__", counting_init)
+    analyze(pattern)
+    assert built == [(pattern.rows, pattern.cols)]
 
 
 def test_staircase_deep_augmenting_path():

@@ -205,7 +205,7 @@ class TestStructuralProperties:
         for _ in range(80):
             ss = random_statespace(rng)
             rg = remove_redundant_edges(build_graph(controllability_pencil(ss)))
-            kept = {(r, c) for r, c, _ in rg.graph.edges}
+            kept = {(r, c) for r, c, _ in rg.edges}
             assert all((i, i) in kept for i in range(ss.n)), "derivative edge was removed"
 
     def test_component_input_count(self):
