@@ -5,18 +5,18 @@ row, one C-vertex per column, one edge per nonzero entry, weighted by the
 entry degree.  A weight of 0 is still an edge (constant entry); no edge means
 the entry is identically zero.
 
-Graph values are immutable after construction and all functions here are
-pure, so they are safe to share across threads.  The one constructor checks
-nothing: it takes edges that are already in range, unique and sorted, which
-``build_graph``, its one caller, reads off a ``PolyPattern`` (checked by the
-pattern or the parser).  So every edge is checked once, before any graph
-exists, and no raw edge list is public.  One
-maximum-matching search, Pothen and Fan's depth-first augmenting search with
-lookahead, serves ``term_rank`` and the reduction; it returns the mates of
-each row and column as plain lists.
+A graph is a frozen record and all functions here are pure, so graphs are
+safe to share across threads.  ``build_graph`` is its one builder: it reads
+the edges off a ``PolyPattern``, where they were checked once (by the pattern
+or the parser), and derives the adjacency from them, so no raw edge list is
+public.  One maximum-matching search, Pothen and Fan's depth-first
+augmenting search with lookahead, serves ``term_rank`` and the reduction; it
+returns the mates of each row and column as plain lists.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from .patterns import PolyPattern
 
@@ -28,45 +28,34 @@ __all__ = [
 _UNMATCHED = -1
 
 
+@dataclass(frozen=True)
 class WeightedBigraph:
     """Bipartite graph with non-negative integer edge weights.
 
     ``edges`` holds (row, column, weight) triples, unique per (row, column)
-    pair, in range and sorted; the constructor trusts all three.  So two
-    graphs with the same edge set compare equal, and every algorithm below
-    is deterministic.
+    pair, in range and sorted; ``r_adj[r]`` lists the columns of row r and
+    ``c_adj[c]`` the rows of column c, both ascending.  Equality and hashing
+    read only the counts and the edges, so two graphs with the same edge set
+    compare equal, and every algorithm below is deterministic.
     """
 
-    __slots__ = ("r_count", "c_count", "edges", "r_adj", "c_adj")
-
-    def __init__(self, r_count: int, c_count: int, edges):
-        self.r_count = r_count
-        self.c_count = c_count
-        self.edges = tuple(edges)
-        r_adj = [[] for _ in range(r_count)]
-        c_adj = [[] for _ in range(c_count)]
-        for r, c, _ in self.edges:
-            r_adj[r].append(c)
-            c_adj[c].append(r)
-        # lists, not generators, for tuple(): see instantiate in oracle.py
-        self.r_adj = tuple([tuple(cs) for cs in r_adj])
-        self.c_adj = tuple([tuple(rs) for rs in c_adj])
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightedBigraph):
-            return NotImplemented
-        return (self.r_count, self.c_count, self.edges) == (other.r_count, other.c_count, other.edges)
-
-    def __hash__(self):
-        return hash((self.r_count, self.c_count, self.edges))
-
-    def __repr__(self):
-        return f"WeightedBigraph({self.r_count}x{self.c_count}, {len(self.edges)} edges)"
+    r_count: int
+    c_count: int
+    edges: tuple[tuple[int, int, int], ...]
+    r_adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    c_adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
 
 def build_graph(pattern: PolyPattern) -> WeightedBigraph:
     """Graph of a pattern: one edge per entry, weight = entry degree."""
-    return WeightedBigraph(pattern.rows, pattern.cols, pattern.sorted_entries())
+    edges = pattern.sorted_entries()
+    r_adj = [[] for _ in range(pattern.rows)]
+    c_adj = [[] for _ in range(pattern.cols)]
+    for r, c, _ in edges:
+        r_adj[r].append(c)
+        c_adj[c].append(r)
+    # lists, not generators, for tuple(): see instantiate in oracle.py
+    return WeightedBigraph(pattern.rows, pattern.cols, edges, tuple([tuple(cs) for cs in r_adj]), tuple([tuple(rs) for rs in c_adj]))
 
 
 def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int], list[int]]:

@@ -219,6 +219,7 @@ def cmd_gen(args) -> int:
     elif kind == "random":
         if args.rows is None or args.cols is None or args.density_edges is None:
             raise ValueError("gen random requires --rows, --cols and --density-edges")
+        patterns._check_vertices(f"{args.rows}x{args.cols} pattern", args.rows + args.cols)  # before it is sampled
         pattern = _random_pattern(args.rows, args.cols, args.density_edges, args.max_degree, args.seed)
         sys.stdout.write(emit_pattern(pattern))
     else:  # pragma: no cover - argparse restricts choices

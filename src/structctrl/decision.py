@@ -11,6 +11,9 @@ every maximal minor shares).
 
 Rank-deficient and tall (p > v) patterns run through the same path, with
 redundancy defined against matchings of size r1 = term rank.
+
+The witness edge is the first weighted kept edge, in (row, column) order,
+whose row carries the witness component's label.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ UNCONTROLLABLE = "structurally uncontrollable"
 
 @dataclass(frozen=True)
 class Witness:
-    """Proof of uncontrollability: a square component with a weighted edge."""
+    """Proof of uncontrollability: a square component and the first of its weighted edges in (row, column) order."""
 
     component: int  # index into AnalysisReport.components
     edge: tuple[int, int]
@@ -87,8 +90,7 @@ def analyze_reduction(rg: ReducedGraph) -> AnalysisReport:
     witness = None
     for idx, comp in enumerate(comps):
         if comp.max_weight >= 1 and len(comp.rows) == len(comp.cols):
-            # Component edges are sorted, so this is the least weighted edge.
-            r, c, w = next(e for e in comp.edges if e[2] >= 1)
+            r, c, w = next(e for e in rg.edges if e[2] >= 1 and rg.row_component[e[0]] == idx)
             witness = Witness(component=idx, edge=(r, c), weight=w)
             break
 

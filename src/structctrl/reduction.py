@@ -30,11 +30,15 @@ labels every vertex with its component, an edge is kept exactly when its
 ends share a label, and the components are read off the labels with no
 second graph and no second sweep.  Each step is a linear-time graph
 search: O(V + E) on top of the matching.
+
+A ``Component`` holds its rows, columns and largest edge weight; its
+edges are the kept edges whose row carries its label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bigraph import _UNMATCHED, WeightedBigraph, _max_matching_pairs
 
@@ -67,13 +71,11 @@ class ReducedGraph:
     col_component: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Component:
-    """A maximal connected subgraph: sorted row and column vertices, its edges and their largest weight."""
+class Component(NamedTuple):
+    """A maximal connected subgraph: its sorted row and column vertices and the largest weight of its edges (0 if none)."""
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]
     max_weight: int
 
 
@@ -228,15 +230,12 @@ def connected_components(rg: ReducedGraph) -> list[Component]:
     count = max(max(row_comp, default=-1), max(rg.col_component, default=-1)) + 1
     rows: list[list[int]] = [[] for _ in range(count)]
     cols: list[list[int]] = [[] for _ in range(count)]
-    edges: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
     heaviest = [0] * count
     for r, label in enumerate(row_comp):
         rows[label].append(r)
     for c, label in enumerate(rg.col_component):
         cols[label].append(c)
-    for e in rg.edges:  # sorted, so each component's edges are too
-        label = row_comp[e[0]]
-        edges[label].append(e)
-        if e[2] > heaviest[label]:
-            heaviest[label] = e[2]
-    return [Component(tuple(rs), tuple(cs), tuple(es), w) for rs, cs, es, w in zip(rows, cols, edges, heaviest)]
+    for r, _, w in rg.edges:
+        if w > heaviest[row_comp[r]]:
+            heaviest[row_comp[r]] = w
+    return [Component(tuple(rs), tuple(cs), w) for rs, cs, w in zip(rows, cols, heaviest)]

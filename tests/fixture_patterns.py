@@ -208,17 +208,17 @@ def reference_components(rg: ReducedGraph) -> list[Component]:
     groups: dict[int, list[int]] = {root: [] for root in roots}
     for v in range(rg.r_count + rg.c_count):
         groups[dsu.find(v)].append(v)
-    edges_by_root: dict[int, list[tuple[int, int, int]]] = {}
-    for e in rg.edges:
-        edges_by_root.setdefault(dsu.find(e[0]), []).append(e)
+    heaviest = dict.fromkeys(roots, 0)
+    for r, _, w in rg.edges:
+        root = dsu.find(r)
+        heaviest[root] = max(heaviest[root], w)
 
     components = []
     for root in roots:
         members = groups[root]
         rows = tuple(v for v in members if v < rg.r_count)
         cols = tuple(v - rg.r_count for v in members if v >= rg.r_count)
-        edges = tuple(edges_by_root.get(root, ()))
-        components.append(Component(rows, cols, edges, max((w for _, _, w in edges), default=0)))
+        components.append(Component(rows, cols, heaviest[root]))
     return components
 
 
@@ -249,12 +249,16 @@ def open_parts(g: WeightedBigraph) -> tuple[set[int], set[int], set[int], set[in
 
 
 def reference_witness(rg: ReducedGraph, components: list[Component]) -> Witness | None:
-    """The first square component with a weighted edge, and its least weighted edge sorted by (row, col)."""
+    """The first square component with a weighted edge, and its first weighted edge sorted by (row, col).
+
+    A component's edges are the kept edges at its rows.
+    """
     weights = {(r, c): w for r, c, w in rg.edges}
     for idx, comp in enumerate(components):
         if len(comp.rows) != len(comp.cols):
             continue
-        offending = sorted((r, c) for r, c, w in comp.edges if w >= 1)
+        rows = set(comp.rows)
+        offending = sorted((r, c) for r, c, w in rg.edges if w >= 1 and r in rows)
         if offending:
             return Witness(component=idx, edge=offending[0], weight=weights[offending[0]])
     return None

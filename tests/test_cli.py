@@ -488,6 +488,16 @@ class TestGen:
         assert (code, out) == (2, "")
         assert err == "error: pencil of n=50, m=1 has 101 vertices, guarded at 100\n"
 
+    def test_random_size_checked_before_the_pattern_is_sampled(self, capsys, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("a pattern was sampled past the vertex guard")
+
+        monkeypatch.setattr(cli, "_random_pattern", no_sampling)
+        # too many edges for the shape as well: the vertex refusal comes first
+        code, out, err = run(capsys, "gen", "random", "--rows", "1500000", "--cols", "1", "--density-edges", "2000000")
+        assert (code, out) == (2, "")
+        assert err == "error: 1500000x1 pattern has 1500001 vertices, guarded at 1000000\n"
+
     def test_random_too_many_edges(self, capsys):
         code, _, err = run(capsys, "gen", "random", "--rows", "2", "--cols", "2",
                            "--density-edges", "5")

@@ -15,6 +15,12 @@ A second corpus pins ``statespace`` on pencils with many or large
 components: gilbert_form(600), controller_canonical(120) and seeded random
 systems with n = 60-180 and a planted unreachable block.  Its digests are
 ``LARGE_DIGESTS``.
+
+A third corpus pins ``analyze`` on patterns of benchmark size, so the
+witness and the component list are pinned where the reduction does real
+work: seeded patterns of the random-dae shapes (100x100 to 180x198, 3-6
+entries per row, degrees 0-2), tall ones, and rank-deficient ones whose
+first rows share a few columns.  Its digests are ``LARGE_PATTERN_DIGESTS``.
 """
 
 import contextlib
@@ -36,6 +42,21 @@ CORPUS_SEED = 20_261_019
 CORPUS_SIZE = 150  # random patterns, and as many random systems
 LARGE_SEED = 20_261_020
 LARGE_PLANTED = ((60, 1), (60, 3), (120, 2), (180, 1), (180, 3))  # (n, m) of the planted systems
+LARGE_PATTERN_SEED = 20_261_021
+# (rows, cols, rows confined to the first few columns): random-dae shapes, tall, rank-deficient
+LARGE_PATTERN_SHAPES = (
+    (100, 100, 0),
+    (100, 110, 0),
+    (140, 140, 0),
+    (140, 154, 0),
+    (180, 198, 0),
+    (120, 100, 0),
+    (180, 150, 0),
+    (100, 100, 40),
+    (140, 154, 60),
+    (150, 120, 50),
+)
+LARGE_PATTERNS_PER_SHAPE = 3
 
 
 def _random_pattern_text(rng: random.Random) -> str:
@@ -105,6 +126,31 @@ LARGE_DIGESTS = {
 }
 
 
+def _large_pattern_text(rng: random.Random, rows: int, cols: int, confined: int) -> str:
+    """3-6 entries per row, degrees 0-2; the first ``confined`` rows use only the first confined // 2 columns."""
+    lines = [f"pattern {rows} {cols}"]
+    for r in range(rows):
+        width = max(3, confined // 2) if r < confined else cols
+        for c in sorted(rng.sample(range(width), rng.randint(3, 6))):
+            lines.append(f"entry {r + 1} {c + 1} {rng.randint(0, 2)}")
+    return "\n".join(lines) + "\n"
+
+
+def large_patterns() -> list[str]:
+    """Pattern texts of the large pattern corpus, LARGE_PATTERNS_PER_SHAPE per shape."""
+    rng = random.Random(LARGE_PATTERN_SEED)
+    return [_large_pattern_text(rng, *shape) for shape in LARGE_PATTERN_SHAPES for _ in range(LARGE_PATTERNS_PER_SHAPE)]
+
+
+LARGE_PATTERN_COMMANDS = ("analyze", "analyze --json")
+
+# Recorded at be21c88, before the graph became a frozen dataclass and Component lost its edges.
+LARGE_PATTERN_DIGESTS = {
+    "analyze": "04d8e585a4fd95738f3c48873d45bcef5ee8fbe872fd72ec91ae19b294ed8b58",
+    "analyze --json": "d8917215cafe4adbae688ca0c2ac24e035fc22d4c52c77e9a5efd5ef251200bf",
+}
+
+
 def digest(command: str) -> str:
     """Digest of ``command`` on each of its corpus texts."""
     patterns, systems = corpus()
@@ -137,9 +183,18 @@ def test_large_component_output_matches_recorded_digest(command):
     assert got == LARGE_DIGESTS[command], f"`structctrl {command}` output changed on the large corpus"
 
 
+@pytest.mark.parametrize("command", LARGE_PATTERN_COMMANDS)
+def test_large_pattern_output_matches_recorded_digest(command):
+    got = run_digest(command, large_patterns())
+    assert got == LARGE_PATTERN_DIGESTS[command], f"`structctrl {command}` output changed on the large pattern corpus"
+
+
 if __name__ == "__main__":
     for command in COMMANDS:
         print(f'    "{command}": "{digest(command)}",')
     texts = large_systems()
     for command in LARGE_COMMANDS:
         print(f'    "{command}": "{run_digest(command, texts)}",  # large')
+    texts = large_patterns()
+    for command in LARGE_PATTERN_COMMANDS:
+        print(f'    "{command}": "{run_digest(command, texts)}",  # large patterns')

@@ -232,7 +232,7 @@ def test_components_and_witness_match_union_find_reference(g):
     rg = remove_redundant_edges(g)
     expected = reference_components(rg)
     comps = connected_components(rg)
-    assert comps == expected  # order, vertex tuples and edge tuples
+    assert comps == expected  # order, vertex tuples and largest weights
     assert [c.max_weight for c in comps] == [c.max_weight for c in expected]
     assert analyze_reduction(rg).witness == reference_witness(rg, expected)
 

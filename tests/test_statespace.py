@@ -19,11 +19,13 @@ from structctrl import (
     controller_canonical,
     gilbert_form,
     kalman_controllable,
+    kalman_deficiencies,
+    oracle,
     remove_redundant_edges,
     siso_interconnection,
 )
 
-from fixture_patterns import chain_ss, integrator_ss, random_statespace, relay_ss, shared_drive_ss
+from fixture_patterns import chain_ss, integrator_ss, planted_statespace, random_statespace, relay_ss, shared_drive_ss
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -218,3 +220,34 @@ class TestStructuralProperties:
             for comp in connected_components(rg):
                 inputs = sum(1 for c in comp.cols if c >= ss.n)
                 assert len(comp.cols) - len(comp.rows) == inputs
+
+
+def _benchmark_size_systems() -> list[StateSpacePattern]:
+    """controller_canonical and gilbert_form at n = 40, 120, 180, then seeded planted systems up to n = 120.
+
+    Under this seed single seeds over-count on three of them (n = 60, m = 1:
+    [18, 18, 18, 18, 20]; n = 80, m = 1: [22, 21, 19, 20, 19]), so the
+    minimum matters.
+    """
+    systems = [make(n) for n in (40, 120, 180) for make in (controller_canonical, gilbert_form)]
+    rng = random.Random(20_261_030)
+    for n, m in ((10, 1), (10, 3), (20, 1), (20, 2), (30, 2), (40, 3), (60, 1), (60, 3), (80, 1), (80, 2), (100, 3), (120, 2)):
+        systems.append(planted_statespace(rng, n, m, rng.randint(1, n // 3)))
+    return systems
+
+
+@pytest.mark.parametrize("ss", _benchmark_size_systems(), ids=lambda ss: f"n{ss.n}m{ss.m}e{len(ss.a_entries)}")
+def test_unconnected_states_count_the_uncontrollable_subspace(monkeypatch, ss):
+    """The states not connected to an input number n - generic rank [B, AB, ..., A^(n-1) B] of (A with a full diagonal, B).
+
+    In the pencil every diagonal entry of sI - A is a generic degree-1
+    polynomial, which is the classical pattern with every diagonal position
+    of A present; the generic dimension of its uncontrollable subspace is
+    the count (Hosoe 1980).  Each seed's rank mod q only bounds the generic
+    rank from below, so a single seed may over-count: the count must equal
+    the least deficiency over the seeds.  The Kalman guard is lifted to n
+    for this algebraic check at benchmark sizes.
+    """
+    monkeypatch.setattr(oracle, "KALMAN_MAX_STATES", ss.n)
+    filled = StateSpacePattern(ss.n, ss.m, ss.a_entries | {(i, i) for i in range(ss.n)}, ss.b_entries)
+    assert analyze_statespace(ss).state_connectivity.count(False) == min(kalman_deficiencies(filled, SEEDS))
