@@ -48,7 +48,7 @@ class WeightedBigraph:
 
 def build_graph(pattern: PolyPattern) -> WeightedBigraph:
     """Graph of a pattern: one edge per entry, weight = entry degree."""
-    edges = pattern.sorted_entries()
+    edges = pattern.entries
     r_adj = [[] for _ in range(pattern.rows)]
     c_adj = [[] for _ in range(pattern.cols)]
     for r, c, _ in edges:

@@ -327,8 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, help="order for canonical/gilbert")
     p_gen.add_argument("--n1", type=int, help="first subsystem order")
     p_gen.add_argument("--n2", type=int, help="second subsystem order")
-    p_gen.add_argument("--rows", type=int)
-    p_gen.add_argument("--cols", type=int)
+    p_gen.add_argument("--rows", type=_int_at_least(1))
+    p_gen.add_argument("--cols", type=_int_at_least(1))
     p_gen.add_argument("--density-edges", type=int, help="exact number of entries")
     p_gen.add_argument("--max-degree", type=_int_at_least(0), default=2)
     p_gen.add_argument("--seed", type=int, default=0)

@@ -117,7 +117,7 @@ def instantiate(pattern: PolyPattern, seed: int, coeff_bound: int = DEFAULT_COEF
     rng = random.Random(seed)
     # tuple() of a list allocates the final size; of a generator it allocates 10 slots and
     # resizes, so the interpreter's tuple free lists fill up between full collections
-    entries = [(i, j, tuple([_nonzero_int(rng, coeff_bound) for _ in range(d + 1)])) for i, j, d in pattern.sorted_entries()]
+    entries = [(i, j, tuple([_nonzero_int(rng, coeff_bound) for _ in range(d + 1)])) for i, j, d in pattern.entries]
     return ExactMatrix(pattern.rows, pattern.cols, tuple(entries))
 
 
@@ -277,8 +277,8 @@ def _euclid_work(pattern: PolyPattern, rank: int, minors: int) -> tuple[int, int
     bounds = []
     for side in (0, 1):
         top: dict[int, int] = {}
-        for pos, d in pattern.entries.items():
-            top[pos[side]] = max(top.get(pos[side], 0), d)
+        for entry in pattern.entries:
+            top[entry[side]] = max(top.get(entry[side], 0), entry[2])
         x = sorted(top.values(), reverse=True)
         best = sum(x[:rank])
         bounds.append((best, best - x[rank - 1] + x[rank] if len(x) > rank else -1))
@@ -295,7 +295,7 @@ def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound) -> Iterator[int]
         raise GuardLimitError(
             f"minor enumeration guarded at dimension {ZERO_SET_MAX_DIM}, pattern is {pattern.rows}x{pattern.cols}"
         )
-    coeffs = sum(pattern.entries.values()) + len(pattern.entries)  # also bounds every minor's degree
+    coeffs = sum(d for _, _, d in pattern.entries) + len(pattern.entries)  # also bounds every minor's degree
     if coeffs > ZERO_SET_MAX_COEFFS:
         raise GuardLimitError(f"instantiation guarded at {ZERO_SET_MAX_COEFFS} coefficients, pattern draws {coeffs}")
     rank = term_rank(build_graph(pattern))
@@ -311,7 +311,7 @@ def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound) -> Iterator[int]
             f"gcd guarded at {ZERO_SET_MAX_EUCLID} coefficient products per seed, pattern is {pattern.rows}x{pattern.cols} "
             f"with {minors} minors of degree up to {d1} (all but one up to {d2}): {work}"
         )
-    plan = _Plan(pattern.rows, pattern.cols, pattern.sorted_entries(), rank)  # instantiate keeps this order
+    plan = _Plan(pattern.rows, pattern.cols, pattern.entries, rank)  # instantiate keeps this order
     for seed in seeds:
         g = minor_gcd(instantiate(pattern, seed, coeff_bound), rank, plan)
         yield -1 if g is None else len(g) - 1

@@ -23,8 +23,7 @@ Internally all indices are 0-based.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 from .errors import PatternFormatError
 
@@ -40,58 +39,42 @@ __all__ = [
 MAX_VERTICES = 1_000_000  # graph vertices one header may ask for; each costs about 0.7 KB
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PolyPattern:
     """Nonzero structure of a p-by-v polynomial matrix.
 
-    ``entries`` is a read-only mapping from 0-based (row, col) positions to
-    entry degrees (>= 0), over a private copy of the mapping given.
+    Built from a mapping of 0-based (row, col) positions to entry degrees
+    (>= 0).  ``entries`` holds them as row-major (row, col, degree) triples,
+    the format of the graph's ``edges``.  A pattern compares, hashes, pickles
+    and copies as a record of its three fields.
     """
 
     rows: int
     cols: int
-    entries: Mapping[tuple[int, int], int] = field(default_factory=dict)
-    _sorted: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+    entries: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"pattern dimensions must be positive, got {self.rows}x{self.cols}")
-        entries = dict(self.entries)
-        for (i, j), d in entries.items():
+        for (i, j), d in self.entries.items():
             if not (0 <= i < self.rows and 0 <= j < self.cols):
                 raise ValueError(f"entry ({i},{j}) outside {self.rows}x{self.cols} pattern")
             if d < 0:
                 raise ValueError(f"entry ({i},{j}) has negative degree {d}")
-        self._freeze(entries)
+        object.__setattr__(self, "entries", _row_major(self.entries))
 
     @classmethod
     def _from_checked(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> PolyPattern:
-        """Pattern that takes over ``entries``, already in range with degrees >= 0; checks and copies nothing."""
+        """Pattern of ``entries``, already in range with degrees >= 0; only sorts them."""
         p = cls.__new__(cls)
         object.__setattr__(p, "rows", rows)
         object.__setattr__(p, "cols", cols)
-        p._freeze(entries)
+        object.__setattr__(p, "entries", _row_major(entries))
         return p
 
-    def _freeze(self, entries: dict[tuple[int, int], int]):
-        object.__setattr__(self, "entries", MappingProxyType(entries))
-        object.__setattr__(self, "_sorted", tuple(sorted([(i, j, d) for (i, j), d in entries.items()])))
 
-    def sorted_entries(self) -> tuple[tuple[int, int, int], ...]:
-        """Entries as (row, col, degree) triples in row-major order, sorted once at construction."""
-        return self._sorted
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyPattern):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self._sorted))
-
-    def __reduce__(self):
-        # A mappingproxy cannot be pickled or deep-copied; rebuild from a plain dict.
-        return PolyPattern, (self.rows, self.cols, dict(self.entries))
+def _row_major(entries: Mapping[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
+    return tuple(sorted([(i, j, d) for (i, j), d in entries.items()]))
 
 
 @dataclass(frozen=True)
@@ -230,7 +213,7 @@ def emit_pattern(pattern: PolyPattern) -> str:
     """
     _check_vertices(f"{pattern.rows}x{pattern.cols} pattern", pattern.rows + pattern.cols)
     out = [f"pattern {pattern.rows} {pattern.cols}"]
-    for i, j, d in pattern.sorted_entries():
+    for i, j, d in pattern.entries:
         out.append(f"entry {i + 1} {j + 1} {d}")
     return "\n".join(out) + "\n"
 

@@ -169,10 +169,8 @@ def test_a08_controller_canonical_family():
 
 
 def _duplicate_row(p: PolyPattern, row: int) -> PolyPattern:
-    entries = dict(p.entries)
-    for (i, j), d in p.entries.items():
-        if i == row:
-            entries[(p.rows, j)] = d
+    entries = {(i, j): d for i, j, d in p.entries}
+    entries.update({(p.rows, j): d for i, j, d in p.entries if i == row})
     return PolyPattern(p.rows + 1, p.cols, entries)
 
 

@@ -578,6 +578,10 @@ class TestUsage:
         (["oracle", "--seeds", "", str(FIXTURES / "wide_2x3.txt")], "--seeds", "expected comma-separated integers, got ''"),
         (["statespace", "--seeds", "x,y", str(FIXTURES / "ss_chain.txt")], "--seeds", "invalid int value: 'x'"),
         (["statespace", "--seeds", "", str(FIXTURES / "ss_chain.txt")], "--seeds", "expected comma-separated integers, got ''"),
+        (["gen", "random", "--rows", "-1", "--cols", "5", "--density-edges", "0"], "--rows", "must be at least 1, got -1"),
+        (["gen", "random", "--rows", "0", "--cols", "5", "--density-edges", "0"], "--rows", "must be at least 1, got 0"),
+        (["gen", "random", "--rows", "3", "--cols", "0", "--density-edges", "0"], "--cols", "must be at least 1, got 0"),
+        (["gen", "random", "--rows", "3", "--cols", "x", "--density-edges", "0"], "--cols", "invalid int value: 'x'"),
     ]
 
     # Ids name the argv and the option only, as they did before each case pinned its message.

@@ -21,6 +21,10 @@ witness and the component list are pinned where the reduction does real
 work: seeded patterns of the random-dae shapes (100x100 to 180x198, 3-6
 entries per row, degrees 0-2), tall ones, and rank-deficient ones whose
 first rows share a few columns.  Its digests are ``LARGE_PATTERN_DIGESTS``.
+
+A fourth pins ``gen``: canonical and gilbert systems and the three
+interconnections at a few orders, and random patterns at several shapes,
+seeds and degree bounds.  Its one digest is ``GEN_DIGEST``.
 """
 
 import contextlib
@@ -151,24 +155,58 @@ LARGE_PATTERN_DIGESTS = {
 }
 
 
+# (rows, cols, entries) of the random gen patterns: empty, full, wide, tall and benchmark-size
+GEN_RANDOM_SHAPES = ((1, 1, 1), (2, 3, 0), (2, 3, 6), (5, 5, 7), (6, 9, 20), (30, 12, 80), (140, 154, 600))
+
+# Recorded at 0b54dc4, before PolyPattern became a record of its sorted entry triples.
+GEN_DIGEST = "3e497cf4ee0c634dbcdc078b87d60ed70aedf0ef5f139455b6afbc09fdc83862"
+
+
 def digest(command: str) -> str:
     """Digest of ``command`` on each of its corpus texts."""
     patterns, systems = corpus()
     return run_digest(command, {"patterns": patterns, "systems": systems, "both": patterns + systems}[COMMANDS[command]])
 
 
+def _run(argv: list[str], text: str = "") -> bytes:
+    """Exit code, stdout and stderr of ``main(argv)`` with ``text`` on stdin."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return f"{code}\n{out.getvalue()}\0{err.getvalue()}\0".encode()
+
+
 def run_digest(command: str, texts: list[str]) -> str:
     """Sha256 over the exit code, stdout and stderr of ``command`` on each text, read from stdin."""
     h = hashlib.sha256()
     for text in texts:
-        out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
-        sys.stdin = io.StringIO(text)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*command.split(), "-"])
-        finally:
-            sys.stdin = stdin
-        h.update(f"{code}\n{out.getvalue()}\0{err.getvalue()}\0".encode())
+        h.update(_run([*command.split(), "-"], text))
+    return h.hexdigest()
+
+
+def gen_argvs() -> list[list[str]]:
+    """Argument lists of the gen corpus: named systems, interconnections, then random patterns."""
+    argvs = [["gen", "canonical", "--n", str(n)] for n in (1, 2, 5, 40)]
+    argvs += [["gen", "gilbert", "--n", str(n)] for n in (2, 3, 9, 40)]
+    orders = ((1, 1), (1, 4), (3, 2), (7, 7))
+    argvs += [["gen", kind, "--n1", str(n1), "--n2", str(n2)] for kind in ("series", "parallel", "feedback") for n1, n2 in orders]
+    for rows, cols, edges in GEN_RANDOM_SHAPES:
+        for seed, max_degree in ((0, 0), (3, 2), (20_261_022, 5)):
+            shape = ["--rows", str(rows), "--cols", str(cols), "--density-edges", str(edges)]
+            argvs.append(["gen", "random", *shape, "--seed", str(seed), "--max-degree", str(max_degree)])
+    argvs.append(["gen", "random", "--rows", "4", "--cols", "6", "--density-edges", "10"])  # default seed and degree bound
+    return argvs
+
+
+def gen_digest() -> str:
+    """Sha256 over the exit code, stdout and stderr of every gen corpus run."""
+    h = hashlib.sha256()
+    for argv in gen_argvs():
+        h.update(_run(argv))
     return h.hexdigest()
 
 
@@ -189,6 +227,10 @@ def test_large_pattern_output_matches_recorded_digest(command):
     assert got == LARGE_PATTERN_DIGESTS[command], f"`structctrl {command}` output changed on the large pattern corpus"
 
 
+def test_gen_output_matches_recorded_digest():
+    assert gen_digest() == GEN_DIGEST, "`structctrl gen` output changed on the gen corpus"
+
+
 if __name__ == "__main__":
     for command in COMMANDS:
         print(f'    "{command}": "{digest(command)}",')
@@ -198,3 +240,4 @@ if __name__ == "__main__":
     texts = large_patterns()
     for command in LARGE_PATTERN_COMMANDS:
         print(f'    "{command}": "{run_digest(command, texts)}",  # large patterns')
+    print(f'GEN_DIGEST = "{gen_digest()}"')

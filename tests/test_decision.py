@@ -178,7 +178,7 @@ class TestReportInvariants:
             rng.shuffle(rows)
             rng.shuffle(cols)
             permuted = PolyPattern(
-                p.rows, p.cols, {(rows[i], cols[j]): d for (i, j), d in p.entries.items()}
+                p.rows, p.cols, {(rows[i], cols[j]): d for i, j, d in p.entries}
             )
             a, b = analyze(p), analyze(permuted)
             assert a.verdict == b.verdict

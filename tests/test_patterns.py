@@ -11,6 +11,7 @@ from structctrl import (
     PatternFormatError,
     PolyPattern,
     StateSpacePattern,
+    build_graph,
     emit_pattern,
     emit_statespace,
     parse_pattern,
@@ -228,8 +229,7 @@ class TestImmutable:
         given = {(0, 0): 1}
         p = PolyPattern(1, 2, given)
         given[(0, 1)] = 0
-        assert dict(p.entries) == {(0, 0): 1}
-        assert p.sorted_entries() == ((0, 0, 1),)
+        assert p.entries == ((0, 0, 1),)
 
     def test_hash_follows_equality(self):
         a = PolyPattern(2, 2, {(1, 0): 0, (0, 1): 2})
@@ -246,9 +246,8 @@ class TestImmutable:
 
     def test_sorted_entries_stored_once(self):
         p = wide_2x3()
-        assert isinstance(p.sorted_entries(), tuple)
-        assert p.sorted_entries() is p.sorted_entries()
-        assert list(p.sorted_entries()) == sorted((i, j, d) for (i, j), d in p.entries.items())
+        assert isinstance(p.entries, tuple) and list(p.entries) == sorted(p.entries)
+        assert build_graph(p).edges is p.entries
 
 
 @st.composite
@@ -281,11 +280,12 @@ def test_pattern_round_trip(pattern):
 @settings(max_examples=200)
 @given(patterns(), patterns())
 def test_pattern_hash_pickle_and_order(p, q):
-    assert p.sorted_entries() == tuple(sorted((i, j, d) for (i, j), d in p.entries.items()))
+    assert list(p.entries) == sorted(p.entries)
     assert pickle.loads(pickle.dumps(p)) == p == copy.deepcopy(p)
+    assert hash(p) == hash((p.rows, p.cols, p.entries))
     if p == q:
         assert hash(p) == hash(q)
-    assert (p == q) == ((p.rows, p.cols, p.sorted_entries()) == (q.rows, q.cols, q.sorted_entries()))
+    assert (p == q) == ((p.rows, p.cols, p.entries) == (q.rows, q.cols, q.entries))
 
 
 @settings(max_examples=200)
