@@ -18,7 +18,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import patterns
@@ -35,6 +34,7 @@ from .patterns import (
 )
 from .reduction import remove_redundant_edges
 from .statespace import (
+    INTERCONNECTION_KINDS,
     analyze_statespace,
     controllability_pencil,
     controller_canonical,
@@ -43,17 +43,6 @@ from .statespace import (
 )
 
 DEFAULT_SEEDS = "0,1,2,3,4"
-
-
-@dataclass
-class BenchResult:
-    p: int
-    v: int
-    edge_count: int
-    reduce_seconds: float
-    total_seconds: float
-    verdict: str
-    status: str
 
 
 def _read_text(path: str) -> str:
@@ -212,18 +201,16 @@ def cmd_gen(args) -> int:
         patterns._check_vertices(f"pencil of n={args.n}, m=1", 2 * args.n + 1)  # before the system is built
         ss = controller_canonical(args.n) if kind == "canonical" else gilbert_form(args.n)
         sys.stdout.write(emit_statespace(ss))
-    elif kind in ("series", "parallel", "feedback"):
+    elif kind in INTERCONNECTION_KINDS:
         if args.n1 is None or args.n2 is None:
             raise ValueError(f"gen {kind} requires --n1 and --n2")
         sys.stdout.write(emit_pattern(siso_interconnection(kind, args.n1, args.n2)))
-    elif kind == "random":
+    else:  # random, the last of argparse's choices
         if args.rows is None or args.cols is None or args.density_edges is None:
             raise ValueError("gen random requires --rows, --cols and --density-edges")
         patterns._check_vertices(f"{args.rows}x{args.cols} pattern", args.rows + args.cols)  # before it is sampled
         pattern = _random_pattern(args.rows, args.cols, args.density_edges, args.max_degree, args.seed)
         sys.stdout.write(emit_pattern(pattern))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {kind!r}")
     return 0
 
 
@@ -241,24 +228,24 @@ def cmd_bench(args) -> int:
         report = analyze_reduction(rg)
         total_s = time.perf_counter() - t0
         results.append(
-            BenchResult(
-                p=p,
-                v=p,
-                edge_count=len(g.edges),
-                reduce_seconds=reduce_s,
-                total_seconds=total_s,
-                verdict=report.verdict,
-                status="ok" if total_s <= args.timeout else "timeout",
-            )
+            {
+                "p": p,
+                "v": p,
+                "edge_count": len(g.edges),
+                "reduce_seconds": reduce_s,
+                "total_seconds": total_s,
+                "verdict": report.verdict,
+                "status": "ok" if total_s <= args.timeout else "timeout",
+            }
         )
     if args.json:
-        print(json.dumps([vars(r) for r in results]))
+        print(json.dumps(results))
     else:
         print("p\tv\tedges\treduce_s\ttotal_s\tverdict\tstatus")
         for r in results:
             print(
-                f"{r.p}\t{r.v}\t{r.edge_count}\t{r.reduce_seconds:.4f}\t{r.total_seconds:.4f}"
-                f"\t{r.verdict}\t{r.status}"
+                f"{r['p']}\t{r['v']}\t{r['edge_count']}\t{r['reduce_seconds']:.4f}\t{r['total_seconds']:.4f}"
+                f"\t{r['verdict']}\t{r['status']}"
             )
     return 0
 
@@ -323,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or.set_defaults(func=cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="emit a generated pattern or statespace file")
-    p_gen.add_argument("kind", choices=("canonical", "gilbert", "series", "parallel", "feedback", "random"))
+    p_gen.add_argument("kind", choices=("canonical", "gilbert", *INTERCONNECTION_KINDS, "random"))
     p_gen.add_argument("--n", type=int, help="order for canonical/gilbert")
     p_gen.add_argument("--n1", type=int, help="first subsystem order")
     p_gen.add_argument("--n2", type=int, help="second subsystem order")

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bigraph import build_graph, term_rank
-from .errors import GuardLimitError
+from .errors import GuardLimitError, ZeroTermRankError
 from .patterns import PolyPattern, StateSpacePattern
 
 __all__ = [
@@ -244,9 +244,7 @@ def minor_gcd(matrix: ExactMatrix, size: int, plan: _Plan | None = None) -> tupl
             values.append(total)
         if x := values[state]:
             d: list[int] = []
-            _unpack(x, width, x.bit_length() // width + 1, d)  # at least deg + 1 digits
-            while d[-1] == 0:
-                d.pop()
+            _unpack(x, width, x.bit_length() // width + 1, d)  # exactly deg + 1 digits, as |c| < 2^(w-1)
             certified = certified or d[-1] % _PRIME != 0
             d = [c % _PRIME for c in d]
             while d and d[-1] == 0:
@@ -290,7 +288,7 @@ def _euclid_work(pattern: PolyPattern, rank: int, minors: int) -> tuple[int, int
 def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound) -> Iterator[int]:
     """Check the arguments, then lazily yield each seed's maximal-minor gcd degree (-1: every minor vanishes)."""
     if not pattern.entries:  # term rank 0; checked, like the size guards, before the matching
-        raise ValueError("pattern has term rank 0; zero-set test undefined")
+        raise ZeroTermRankError("pattern has term rank 0; zero-set test undefined")
     if min(pattern.rows, pattern.cols) > ZERO_SET_MAX_DIM:
         raise GuardLimitError(
             f"minor enumeration guarded at dimension {ZERO_SET_MAX_DIM}, pattern is {pattern.rows}x{pattern.cols}"

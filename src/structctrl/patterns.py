@@ -82,7 +82,8 @@ class StateSpacePattern:
     """Nonzero structure of a first-order system d/dt x = A x + B u.
 
     ``a_entries`` holds 0-based (i, j) positions where A is nonzero,
-    ``b_entries`` 0-based (i, k) positions where B is nonzero.
+    ``b_entries`` 0-based (i, k) positions where B is nonzero; both are
+    stored as frozensets, whatever collection is given.
     """
 
     n: int
@@ -97,12 +98,10 @@ class StateSpacePattern:
             raise ValueError(f"input count must be non-negative, got {self.m}")
         object.__setattr__(self, "a_entries", frozenset(self.a_entries))
         object.__setattr__(self, "b_entries", frozenset(self.b_entries))
-        for i, j in self.a_entries:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"A entry ({i},{j}) outside {self.n}x{self.n}")
-        for i, k in self.b_entries:
-            if not (0 <= i < self.n and 0 <= k < self.m):
-                raise ValueError(f"B entry ({i},{k}) outside {self.n}x{self.m}")
+        for name, entries, cols in (("A", self.a_entries, self.n), ("B", self.b_entries, self.m)):
+            for i, j in entries:
+                if not (0 <= i < self.n and 0 <= j < cols):
+                    raise ValueError(f"{name} entry ({i},{j}) outside {self.n}x{cols}")
 
 
 def _check_vertices(what: str, vertices: int, lineno: int | None = None):
@@ -202,7 +201,7 @@ def parse_statespace(text: str) -> StateSpacePattern:
             if (i - 1, j - 1) in b_entries:
                 raise PatternFormatError(f"duplicate B entry ({i},{j})", lineno)
             b_entries.add((i - 1, j - 1))
-    return StateSpacePattern(n, m, frozenset(a_entries), frozenset(b_entries))
+    return StateSpacePattern(n, m, a_entries, b_entries)
 
 
 def emit_pattern(pattern: PolyPattern) -> str:

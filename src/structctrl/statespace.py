@@ -83,7 +83,7 @@ def controller_canonical(n: int) -> StateSpacePattern:
         raise ValueError(f"order must be positive, got {n}")
     a = {(i, i + 1) for i in range(n - 1)}
     a.update((n - 1, j) for j in range(n))
-    return StateSpacePattern(n, 1, frozenset(a), frozenset({(n - 1, 0)}))
+    return StateSpacePattern(n, 1, a, {(n - 1, 0)})
 
 
 def gilbert_form(n: int) -> StateSpacePattern:
@@ -96,7 +96,7 @@ def gilbert_form(n: int) -> StateSpacePattern:
         raise ValueError(f"order must be at least 2, got {n}")
     a = {(i, i) for i in range(n)}
     a.add((0, 1))
-    return StateSpacePattern(n, 1, frozenset(a), frozenset({(1, 0)}))
+    return StateSpacePattern(n, 1, a, {(1, 0)})
 
 
 def siso_interconnection(kind: str, n1: int, n2: int) -> PolyPattern:

@@ -216,6 +216,8 @@ def test_a09_row_duplication_keeps_verdict_and_rank():
             continue
         for row in range(p.rows):
             pattern = _duplicate_row(p, row)
+            copied = [(j, d) for i, j, d in pattern.entries if i == p.rows]
+            assert copied == [(j, d) for i, j, d in p.entries if i == row], f"row {row} of a {p.rows}x{p.cols} pattern not copied"
             doubled = analyze(pattern)
             if term_rank(build_graph(pattern)) == original.term_rank:
                 redundant += 1

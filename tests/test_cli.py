@@ -2,6 +2,8 @@
 
 import json
 import random
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -312,6 +314,14 @@ class TestOracle:
         _, out, _ = run(capsys, "oracle", "--seeds", "7,9", str(FIXTURES / "wide_2x3.txt"))
         assert "seed 7:" in out and "seed 9:" in out
 
+    def test_seed_with_every_minor_zero(self, tmp_path, capsys):
+        # with coefficients +-1, seed 3 makes the full 2x2 pattern's one maximal minor vanish
+        f = tmp_path / "full.txt"
+        f.write_text("pattern 2 2\nentry 1 1 0\nentry 1 2 0\nentry 2 1 0\nentry 2 2 0\n")
+        code, out, _ = run(capsys, "oracle", "--coeff-range", "1", "--seeds", "3", str(f))
+        assert code == 1
+        assert out == "seed 3: all maximal minors zero\nzero set generically empty: no\n"
+
     def test_negative_seeds(self, capsys):
         code, out, _ = run(capsys, "oracle", "--seeds=-3,0", str(FIXTURES / "wide_2x3.txt"))
         assert code == 0
@@ -507,6 +517,12 @@ class TestGen:
         code, _, err = run(capsys, "gen", "canonical")
         assert code == 2
         assert "--n" in err
+        assert run(capsys, "gen", "series", "--n1", "2") == (2, "", "error: gen series requires --n1 and --n2\n")
+        assert run(capsys, "gen", "random", "--cols", "3", "--density-edges", "2") == (
+            2,
+            "",
+            "error: gen random requires --rows, --cols and --density-edges\n",
+        )
 
     def test_generated_files_parse_back(self, capsys, tmp_path):
         _, out, _ = run(capsys, "gen", "series", "--n1", "2", "--n2", "3")
@@ -547,6 +563,7 @@ class TestBench:
         rows = json.loads(out)
         assert len(rows) == 1
         assert rows[0]["p"] == 5 and rows[0]["edge_count"] == 15
+        assert list(rows[0]) == ["p", "v", "edge_count", "reduce_seconds", "total_seconds", "verdict", "status"]
 
 
 class TestUsage:
@@ -554,6 +571,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_module_runs_as_a_script(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["structctrl", "analyze", str(FIXTURES / "wide_2x3.txt"), "--quiet"])
+        # the package import has already loaded structctrl.cli, so runpy warns before running it again
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), pytest.raises(SystemExit) as exc:
+            runpy.run_module("structctrl.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "structurally controllable\n"
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,8 @@ from structctrl import (
     GuardLimitError,
     PolyPattern,
     StateSpacePattern,
+    ZeroTermRankError,
+    analyze,
     controllability_pencil,
     controller_canonical,
     gilbert_form,
@@ -287,6 +289,14 @@ class TestZeroSet:
         at_guard = PolyPattern(6, 6, {(i, i): 0 for i in range(6)})
         assert zero_set_empty(at_guard, (0,)) is True
 
+    def test_empty_pattern_raises_the_analysis_error_type(self):
+        empty = PolyPattern(2, 2, {})
+        with pytest.raises(ZeroTermRankError):
+            analyze(empty)
+        for check in (zero_set_empty, zero_set_gcd_degrees):
+            with pytest.raises(ZeroTermRankError, match="^pattern has term rank 0; zero-set test undefined$"):
+                check(empty, [0])
+
     def test_guards_run_before_the_matching(self, monkeypatch):
         def no_matching(*args):
             raise AssertionError("matching ran before the guard")
@@ -429,6 +439,31 @@ def test_minor_gcd_unpacks_large_signed_coefficients(matrix):
     # each polynomial is packed into one integer; a slot too narrow for a minor's coefficients corrupts the gcd
     for k in range(1, min(matrix.rows, matrix.cols) + 1):
         assert minor_gcd(matrix, k) == reference_minor_gcd(matrix, k)
+
+
+@st.composite
+def packable(draw):
+    """A slot width w and a coefficient list whose last entry is nonzero and every entry below 2^(w-1) in size."""
+    width = draw(st.integers(2, 100))
+    bound = 2 ** (width - 1) - 1
+    coeff = st.one_of(st.integers(-bound, bound), st.sampled_from((-bound, bound)))
+    lead = st.one_of(st.integers(-bound, -1), st.integers(1, bound), st.sampled_from((-bound, bound)))
+    return width, draw(st.lists(coeff, max_size=12)) + [draw(lead)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(packable())
+@example((2, [1]))
+@example((2, [-1]))
+@example((2, [1, -1, 1, -1]))
+@example((64, [-(2**63 - 1)] * 5))
+def test_unpack_reads_exactly_deg_plus_one_digits(case):
+    # minor_gcd unpacks x.bit_length() // w + 1 digits and takes the last as the leading coefficient
+    width, coeffs = case
+    x = oracle._pack(coeffs, width)
+    digits: list[int] = []
+    oracle._unpack(x, width, x.bit_length() // width + 1, digits)
+    assert digits == coeffs
 
 
 @pytest.mark.parametrize("rows, cols, degree", [(1, 1, 0), (2, 2, 0), (3, 3, 0), (1, 3, 2), (3, 2, 1), (2, 3, 3), (2, 2, 5)])

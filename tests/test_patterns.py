@@ -12,8 +12,10 @@ from structctrl import (
     PolyPattern,
     StateSpacePattern,
     build_graph,
+    controller_canonical,
     emit_pattern,
     emit_statespace,
+    gilbert_form,
     parse_pattern,
     parse_statespace,
 )
@@ -200,6 +202,10 @@ class TestConstructors:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             PolyPattern(0, 1, {})
+        with pytest.raises(ValueError, match="state count must be positive, got 0"):
+            StateSpacePattern(0, 1)
+        with pytest.raises(ValueError, match="input count must be non-negative, got -1"):
+            StateSpacePattern(1, -1)
 
     def test_rejects_out_of_range_entry(self):
         with pytest.raises(ValueError):
@@ -210,9 +216,9 @@ class TestConstructors:
             PolyPattern(2, 2, {(0, 0): -1})
 
     def test_statespace_rejects_bad_entries(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^A entry \(0,2\) outside 2x2$"):
             StateSpacePattern(2, 1, frozenset({(0, 2)}), frozenset())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^B entry \(0,1\) outside 2x1$"):
             StateSpacePattern(2, 1, frozenset(), frozenset({(0, 1)}))
 
 
@@ -248,6 +254,15 @@ class TestImmutable:
         p = wide_2x3()
         assert isinstance(p.entries, tuple) and list(p.entries) == sorted(p.entries)
         assert build_graph(p).edges is p.entries
+
+    def test_statespace_freezes_the_sets_it_is_given(self):
+        a, b = {(0, 1)}, {(1, 0)}
+        made = [StateSpacePattern(2, 1, a, b), parse_statespace("statespace 2 1\na 1 2\nb 2 1\n")]
+        made += [controller_canonical(3), gilbert_form(3)]
+        a.add((1, 1))
+        for ss in made:
+            assert type(ss.a_entries) is frozenset and type(ss.b_entries) is frozenset
+        assert made[0] == made[1] and len(set(made)) == 3
 
 
 @st.composite
