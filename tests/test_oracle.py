@@ -433,12 +433,30 @@ def big_matrices(draw):
     return ExactMatrix(rows, cols, tuple(entries))
 
 
+def degree_drops_mod_q(matrix: ExactMatrix, size: int) -> bool:
+    """True when some size-by-size minor is nonzero and every nonzero one has a leading coefficient divisible by q."""
+    leads = [
+        d.lead
+        for rows in combinations(range(matrix.rows), size)
+        for cols in combinations(range(matrix.cols), size)
+        if not (d := minor_determinant(matrix, rows, cols)).is_zero
+    ]
+    return bool(leads) and all(lead % Q == 0 for lead in leads)
+
+
 @settings(max_examples=200, deadline=None)
 @given(big_matrices())
+@example(ExactMatrix(1, 1, ((0, 0, (-Q,)),)))
+@example(ExactMatrix(1, 2, ((0, 0, (5, 2 * Q)), (0, 1, (Q,)))))
 def test_minor_gcd_unpacks_large_signed_coefficients(matrix):
-    # each polynomial is packed into one integer; a slot too narrow for a minor's coefficients corrupts the gcd
+    # each polynomial is packed into one integer; a slot too narrow for a minor's coefficients corrupts the gcd.
+    # Coefficients up to 2^80 can be multiples of q; when every nonzero minor loses its degree mod q the oracle refuses.
     for k in range(1, min(matrix.rows, matrix.cols) + 1):
-        assert minor_gcd(matrix, k) == reference_minor_gcd(matrix, k)
+        if degree_drops_mod_q(matrix, k):
+            with pytest.raises(GuardLimitError, match="lower the coefficient bound"):
+                minor_gcd(matrix, k)
+        else:
+            assert minor_gcd(matrix, k) == reference_minor_gcd(matrix, k)
 
 
 @st.composite
