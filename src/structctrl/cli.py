@@ -96,13 +96,17 @@ def _print_report(report: AnalysisReport, quiet: bool):
         print(f"witness: component {w.component}, edge ({w.edge[0] + 1},{w.edge[1] + 1}), weight {w.weight}")
 
 
-def cmd_analyze(args) -> int:
-    report = analyze(parse_pattern(_read_text(args.file)))
+def _print_verdict(report: AnalysisReport, args, **extra) -> int:
+    """Print ``report`` as JSON, ``extra`` keys last, or as text; return the exit status of its verdict."""
     if args.json:
-        print(json.dumps(_report_json(report)))
+        print(json.dumps(_report_json(report) | extra))
     else:
         _print_report(report, args.quiet)
     return 0 if report.controllable else 1
+
+
+def cmd_analyze(args) -> int:
+    return _print_verdict(analyze(parse_pattern(_read_text(args.file))), args)
 
 
 def cmd_statespace(args) -> int:
@@ -121,19 +125,13 @@ def cmd_statespace(args) -> int:
         if cross.get("kalman_rank_full", rep.controllable) == cross.get("zero_set_empty_generic", rep.controllable) == rep.controllable:
             cross = None  # checks agree, or none ran; nothing to flag
 
-    if args.json:
-        obj = _report_json(rep.base)
-        obj["state_connectivity"] = list(rep.state_connectivity)
-        obj["cross_check_disagreement"] = cross
-        print(json.dumps(obj))
-    else:
-        _print_report(rep.base, args.quiet)
-        if not args.quiet:
-            for i, ok in enumerate(rep.state_connectivity):
-                print(f"state {i + 1}: {'connected' if ok else 'NOT connected'}")
-            if cross is not None:
-                _print_cross_check_note(cross, any((i, i) not in ss.a_entries for i in range(ss.n)), rep.controllable)
-    return 0 if rep.controllable else 1
+    status = _print_verdict(rep.base, args, state_connectivity=list(rep.state_connectivity), cross_check_disagreement=cross)
+    if not (args.json or args.quiet):
+        for i, ok in enumerate(rep.state_connectivity):
+            print(f"state {i + 1}: {'connected' if ok else 'NOT connected'}")
+        if cross is not None:
+            _print_cross_check_note(cross, any((i, i) not in ss.a_entries for i in range(ss.n)), rep.controllable)
+    return status
 
 
 def _print_cross_check_note(cross: dict, zero_diagonal: bool, controllable: bool):

@@ -91,13 +91,14 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Sparse matrix of exact polynomials: the row-major ``(i, j, coeffs)`` triples of its nonzero entries."""
+    """Sparse matrix of exact polynomials: the row-major ``(i, j, coeffs)`` triples of its nonzero entries, as tuples."""
 
     rows: int
     cols: int
     entries: tuple[tuple[int, int, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple([(i, j, tuple(coeffs)) for i, j, coeffs in self.entries]))
         if not all(0 <= i < self.rows and 0 <= j < self.cols for i, j, _ in self.entries):
             raise ValueError(f"entry index out of range for a {self.rows}x{self.cols} matrix")
 

@@ -44,9 +44,11 @@ class PolyPattern:
     """Nonzero structure of a p-by-v polynomial matrix.
 
     Built from a mapping of 0-based (row, col) positions to entry degrees
-    (>= 0).  ``entries`` holds them as row-major (row, col, degree) triples,
-    the format of the graph's ``edges``.  A pattern compares, hashes, pickles
-    and copies as a record of its three fields.
+    (>= 0), or from (row, col, degree) triples with no position twice;
+    dimensions, indices and degrees must be ints.  ``entries`` holds them as
+    row-major (row, col, degree) triples, the format of the graph's
+    ``edges``.  A pattern compares, hashes, pickles and copies as a record
+    of its three fields, and ``dataclasses.replace`` rebuilds it.
     """
 
     rows: int
@@ -54,27 +56,20 @@ class PolyPattern:
     entries: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"pattern dimensions must be positive, got {self.rows}x{self.cols}")
-        for (i, j), d in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ValueError(f"entry ({i},{j}) outside {self.rows}x{self.cols} pattern")
+        rows, cols, given = self.rows, self.cols, self.entries
+        if not (type(rows) is type(cols) is int and rows > 0 and cols > 0):
+            raise ValueError(f"pattern dimensions must be positive ints, got {rows!r}x{cols!r}")
+        triples = [(i, j, d) for (i, j), d in given.items()] if isinstance(given, Mapping) else [(i, j, d) for i, j, d in given]
+        for i, j, d in triples:
+            if not (type(i) is type(j) is type(d) is int):
+                raise ValueError(f"entry ({i!r},{j!r}) of degree {d!r}: indices and degree must be ints")
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols} pattern")
             if d < 0:
                 raise ValueError(f"entry ({i},{j}) has negative degree {d}")
-        object.__setattr__(self, "entries", _row_major(self.entries))
-
-    @classmethod
-    def _from_checked(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> PolyPattern:
-        """Pattern of ``entries``, already in range with degrees >= 0; only sorts them."""
-        p = cls.__new__(cls)
-        object.__setattr__(p, "rows", rows)
-        object.__setattr__(p, "cols", cols)
-        object.__setattr__(p, "entries", _row_major(entries))
-        return p
-
-
-def _row_major(entries: Mapping[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
-    return tuple(sorted([(i, j, d) for (i, j), d in entries.items()]))
+        if len({(i, j) for i, j, _ in triples}) < len(triples):
+            raise ValueError("pattern entries repeat a position")
+        object.__setattr__(self, "entries", tuple(sorted(triples)))
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,8 @@ class StateSpacePattern:
 
     ``a_entries`` holds 0-based (i, j) positions where A is nonzero,
     ``b_entries`` 0-based (i, k) positions where B is nonzero; both are
-    stored as frozensets, whatever collection is given.
+    stored as frozensets, whatever collection is given.  Counts and indices
+    must be ints.
     """
 
     n: int
@@ -92,6 +88,8 @@ class StateSpacePattern:
     b_entries: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
+        if not (type(self.n) is type(self.m) is int):
+            raise ValueError(f"state and input counts must be ints, got {self.n!r}, {self.m!r}")
         if self.n < 1:
             raise ValueError(f"state count must be positive, got {self.n}")
         if self.m < 0:
@@ -100,8 +98,18 @@ class StateSpacePattern:
         object.__setattr__(self, "b_entries", frozenset(self.b_entries))
         for name, entries, cols in (("A", self.a_entries, self.n), ("B", self.b_entries, self.m)):
             for i, j in entries:
+                if not (type(i) is type(j) is int):
+                    raise ValueError(f"{name} entry ({i!r},{j!r}): indices must be ints")
                 if not (0 <= i < self.n and 0 <= j < cols):
                     raise ValueError(f"{name} entry ({i},{j}) outside {self.n}x{cols}")
+
+
+def _record(cls, *fields):
+    """A ``cls`` record of ``fields`` as given, past the constructor: they are checked and in stored form."""
+    record = cls.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(record, name, value)
+    return record
 
 
 def _check_vertices(what: str, vertices: int, lineno: int | None = None):
@@ -162,7 +170,7 @@ def parse_pattern(text: str) -> PolyPattern:
         if (i - 1, j - 1) in entries:
             raise PatternFormatError(f"duplicate entry ({i},{j})", lineno)
         entries[(i - 1, j - 1)] = d
-    return PolyPattern._from_checked(rows, cols, entries)
+    return _record(PolyPattern, rows, cols, tuple(sorted([(i, j, d) for (i, j), d in entries.items()])))
 
 
 def parse_statespace(text: str) -> StateSpacePattern:
@@ -201,7 +209,7 @@ def parse_statespace(text: str) -> StateSpacePattern:
             if (i - 1, j - 1) in b_entries:
                 raise PatternFormatError(f"duplicate B entry ({i},{j})", lineno)
             b_entries.add((i - 1, j - 1))
-    return StateSpacePattern(n, m, a_entries, b_entries)
+    return _record(StateSpacePattern, n, m, frozenset(a_entries), frozenset(b_entries))
 
 
 def emit_pattern(pattern: PolyPattern) -> str:

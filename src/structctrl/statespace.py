@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision import AnalysisReport, analyze
-from .patterns import PolyPattern, StateSpacePattern
+from .patterns import PolyPattern, StateSpacePattern, _record
 
 __all__ = [
     "StateSpaceReport",
@@ -54,13 +54,12 @@ class StateSpaceReport:
 
 def controllability_pencil(ss: StateSpacePattern) -> PolyPattern:
     """The n-by-(n+m) pattern of [sI - A  B], built unchecked: every position comes from the checked ``ss``."""
-    entries: dict[tuple[int, int], int] = {(i, i): 1 for i in range(ss.n)}
-    for i, j in ss.a_entries:
-        if i != j:  # diagonal A entries fold into the degree-1 derivative term
-            entries[(i, j)] = 0
-    for i, k in ss.b_entries:
-        entries[(i, ss.n + k)] = 0
-    return PolyPattern._from_checked(ss.n, ss.n + ss.m, entries)
+    n = ss.n
+    # Diagonal A entries fold into the degree-1 derivative term, so no position repeats.
+    entries = [(i, i, 1) for i in range(n)] + [(i, j, 0) for i, j in ss.a_entries if i != j]
+    entries += [(i, n + k, 0) for i, k in ss.b_entries]
+    entries.sort()
+    return _record(PolyPattern, n, n + ss.m, tuple(entries))
 
 
 def analyze_statespace(ss: StateSpacePattern) -> StateSpaceReport:

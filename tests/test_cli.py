@@ -3,6 +3,7 @@
 import json
 import random
 import runpy
+import shlex
 import sys
 from pathlib import Path
 
@@ -579,6 +580,17 @@ class TestUsage:
             runpy.run_module("structctrl.cli", run_name="__main__")
         assert exc.value.code == 0
         assert capsys.readouterr().out == "structurally controllable\n"
+
+    def test_readme_cli_examples_run(self, capsys, monkeypatch):
+        """Each `structctrl ...` line of the code block under README "CLI" runs from the repo root."""
+        readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("structctrl ")]
+        assert examples
+        monkeypatch.chdir(FIXTURES.parent)
+        for argv in examples:
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1) and err == "", argv
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

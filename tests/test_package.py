@@ -37,7 +37,20 @@ def _public_values():
     ]
 
 
-@pytest.mark.parametrize("value", _public_values(), ids=lambda v: type(v).__name__)
+def _values_from_lists():
+    """Values whose constructors are given lists, which they must not keep."""
+    return [
+        structctrl.PolyPattern(2, 3, [[0, 0, 1], [1, 2, 0]]),
+        structctrl.StateSpacePattern(2, 1, [(0, 1)], [(1, 0)]),
+        structctrl.ExactMatrix(1, 2, [[0, 0, [1, 2]], [0, 1, [3]]]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [pytest.param(v, id=type(v).__name__) for v in _public_values()]
+    + [pytest.param(v, id=f"{type(v).__name__}-from-lists") for v in _values_from_lists()],
+)
 def test_public_values_are_immutable(value):
     names = [f.name for f in dataclasses.fields(value)] if dataclasses.is_dataclass(value) else list(value._fields)
     for name in [*names, "extra"]:
@@ -46,3 +59,4 @@ def test_public_values_are_immutable(value):
     if isinstance(value, structctrl.PolyPattern):
         with pytest.raises(TypeError):
             value.entries[(0, 2)] = 1
+    hash(value)  # raises TypeError if any field, however deep, holds a mutable value

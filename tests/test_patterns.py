@@ -1,7 +1,10 @@
 """Pattern data model and text formats."""
 
 import copy
+import dataclasses
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +225,40 @@ class TestConstructors:
             StateSpacePattern(2, 1, frozenset(), frozenset({(0, 1)}))
 
 
+class TestRecordRules:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: PolyPattern(1, 1, {(0, 0): 1.5}), id="pattern-float-degree"),
+            pytest.param(lambda: PolyPattern(1, 1, {(0, 0): True}), id="pattern-bool-degree"),
+            pytest.param(lambda: PolyPattern(2, 2, [(0, 1.0, 0)]), id="pattern-float-index"),
+            pytest.param(lambda: PolyPattern(1.0, 1, {}), id="pattern-float-rows"),
+            pytest.param(lambda: PolyPattern(True, 1, {}), id="pattern-bool-rows"),
+            pytest.param(lambda: StateSpacePattern(2.5, 1, (), {(0, 0)}), id="statespace-float-n"),
+            pytest.param(lambda: StateSpacePattern(2, False), id="statespace-bool-m"),
+            pytest.param(lambda: StateSpacePattern(2, 1, {(0, 1.0)}), id="statespace-float-a-index"),
+            pytest.param(lambda: StateSpacePattern(2, 1, (), {(True, 0)}), id="statespace-bool-b-index"),
+        ],
+    )
+    def test_refuses_values_that_are_not_ints(self, make):
+        with pytest.raises(ValueError, match="must be .*ints"):
+            make()
+
+    def test_pattern_rebuilds_from_its_own_fields(self):
+        p = wide_2x3()
+        assert PolyPattern(p.rows, p.cols, p.entries) == p
+        assert dataclasses.replace(p, cols=3) == p
+        wider = dataclasses.replace(p, cols=4)
+        assert (wider.rows, wider.cols, wider.entries) == (2, 4, p.entries)
+        assert PolyPattern(2, 3, [[1, 2, 0], [0, 0, 1]]).entries == ((0, 0, 1), (1, 2, 0))
+        with pytest.raises(ValueError, match="outside 2x2 pattern"):
+            dataclasses.replace(p, cols=2)
+        with pytest.raises(ValueError, match="repeat a position"):
+            PolyPattern(2, 3, [(0, 0, 1), (1, 1, 0), (0, 0, 2)])
+        ss = gilbert_form(3)
+        assert dataclasses.replace(ss, m=2) == StateSpacePattern(3, 2, ss.a_entries, ss.b_entries)
+
+
 class TestImmutable:
     def test_entries_read_only(self):
         p = wide_2x3()
@@ -307,3 +344,50 @@ def test_pattern_hash_pickle_and_order(p, q):
 @given(statespaces())
 def test_statespace_round_trip(ss):
     assert parse_statespace(emit_statespace(ss)) == ss
+
+
+# Ints mixed with values an emitter cannot write as ints, or writes as ones that parse back different.
+MIXED = st.one_of(st.integers(-1, 4), st.booleans(), st.floats(-1, 4), st.sampled_from(["1", None, Fraction(1), Decimal(2)]))
+
+
+def _all_ints(*values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+@settings(max_examples=300)
+@given(MIXED, MIXED, st.lists(st.tuples(MIXED, MIXED, MIXED), max_size=4), st.booleans())
+def test_pattern_constructor_accepts_only_what_parses_back(rows, cols, triples, as_mapping):
+    given_entries = {(i, j): d for i, j, d in triples} if as_mapping else triples
+    try:
+        p = PolyPattern(rows, cols, given_entries)
+    except ValueError:
+        return
+    assert _all_ints(p.rows, p.cols, *[x for t in p.entries for x in t])
+    assert parse_pattern(emit_pattern(p)) == p
+
+
+@settings(max_examples=300)
+@given(MIXED, MIXED, st.frozensets(st.tuples(MIXED, MIXED), max_size=4), st.frozensets(st.tuples(MIXED, MIXED), max_size=4))
+def test_statespace_constructor_accepts_only_what_parses_back(n, m, a, b):
+    try:
+        ss = StateSpacePattern(n, m, a, b)
+    except ValueError:
+        return
+    assert _all_ints(ss.n, ss.m, *[x for e in ss.a_entries | ss.b_entries for x in e])
+    assert parse_statespace(emit_statespace(ss)) == ss
+
+
+def assert_same_fields(made, built):
+    """Equal field by field, each of the same type: the parsers' records against the constructor's."""
+    for field in dataclasses.fields(built):
+        a, b = getattr(made, field.name), getattr(built, field.name)
+        assert type(a) is type(b) and a == b, field.name
+
+
+@settings(max_examples=200)
+@given(patterns(), statespaces())
+def test_parsed_records_match_constructed_ones_field_by_field(pattern, ss):
+    parsed = parse_pattern(emit_pattern(pattern))
+    assert_same_fields(parsed, pattern)
+    assert all(type(t) is tuple and _all_ints(*t) and len(t) == 3 for t in parsed.entries)
+    assert_same_fields(parse_statespace(emit_statespace(ss)), ss)

@@ -1,5 +1,6 @@
 """First-order systems: pencil construction, connectivity criterion, generators."""
 
+import dataclasses
 import random
 
 import pytest
@@ -69,21 +70,21 @@ def statespace_systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(statespace_systems())
 def test_pencil_equals_checked_constructor(ss):
-    """The pencil, built without checks, is the value the checking constructor builds from its positions."""
-    entries = {}
-    for i in range(ss.n):
-        for j in range(ss.n):
-            if i == j:
-                entries[(i, j)] = 1
-            elif (i, j) in ss.a_entries:
-                entries[(i, j)] = 0
-        for k in range(ss.m):
-            if (i, k) in ss.b_entries:
-                entries[(i, ss.n + k)] = 0
+    """The pencil, built without checks, is field by field the value the checking constructor builds
+    from the position-to-degree dict the pencil was once built through."""
+    entries = {(i, i): 1 for i in range(ss.n)}
+    for i, j in ss.a_entries:
+        if i != j:
+            entries[(i, j)] = 0
+    for i, k in ss.b_entries:
+        entries[(i, ss.n + k)] = 0
     expected = PolyPattern(ss.n, ss.n + ss.m, entries)
     pencil = controllability_pencil(ss)
     assert pencil == expected and hash(pencil) == hash(expected)
-    assert pencil.entries == expected.entries
+    for field in dataclasses.fields(PolyPattern):
+        made, built = getattr(pencil, field.name), getattr(expected, field.name)
+        assert type(made) is type(built) and made == built, field.name
+    assert all(type(t) is tuple and [type(x) for x in t] == [int] * 3 for t in pencil.entries)
     with pytest.raises(TypeError):
         pencil.entries[(0, 0)] = 5
 
