@@ -183,6 +183,8 @@ def cmd_oracle(args) -> int:
 def _random_pattern(rows: int, cols: int, edges: int, max_degree: int, seed: int) -> PolyPattern:
     if edges < 0 or edges > rows * cols:
         raise ValueError(f"edge count {edges} out of range for {rows}x{cols} pattern")
+    if edges > patterns.MAX_VERTICES:  # the sample and the pattern hold every entry; one header's vertex budget bounds them
+        raise ValueError(f"edge count {edges} guarded at {patterns.MAX_VERTICES}")
     rng = random.Random(seed)
     # Sampling cell indices, not a list of cells, keeps memory in proportion
     # to the entries; sample() draws from len(population) alone, so a seed
@@ -215,6 +217,7 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     if args.edges_factor > min(args.sizes):  # a p x p pattern holds at most p entries per row
         raise ValueError(f"--edges-factor {args.edges_factor} exceeds the smallest --sizes entry {min(args.sizes)}")
+    patterns._check_vertices(f"{max(args.sizes)}x{max(args.sizes)} pattern", 2 * max(args.sizes))  # before the ladder runs
     results = []
     for p in args.sizes:
         pattern = _random_pattern(p, p, args.edges_factor * p, args.max_degree, args.seed * 1_000_003 + p)

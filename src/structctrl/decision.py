@@ -73,14 +73,13 @@ def generic_nonsingular(pattern: PolyPattern) -> bool:
 def generic_unimodular(pattern: PolyPattern) -> bool:
     """True iff the generic determinant of a square pattern is a nonzero constant.
 
-    Holds exactly when a perfect matching exists and every non-redundant
-    edge has weight zero: each surviving determinant term is then constant
-    and, the entries being independent, the terms cannot cancel.
+    Holds exactly when a perfect matching exists and the pattern is
+    structurally controllable: every component of a square full-rank
+    pattern is square, so every kept edge has weight zero, each surviving
+    determinant term is constant and, the entries being independent, the
+    terms cannot cancel.
     """
-    if pattern.rows != pattern.cols:
-        raise ValueError(f"unimodularity requires a square pattern, got {pattern.rows}x{pattern.cols}")
-    rg = remove_redundant_edges(build_graph(pattern))
-    return rg.base_rank == pattern.rows and all(w == 0 for _, _, w in rg.edges)
+    return generic_nonsingular(pattern) and analyze(pattern).controllable
 
 
 def analyze_reduction(rg: ReducedGraph) -> AnalysisReport:

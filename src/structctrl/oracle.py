@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
 from .bigraph import build_graph, term_rank
 from .errors import GuardLimitError, ZeroTermRankError
-from .patterns import PolyPattern, StateSpacePattern
+from .patterns import PolyPattern, StateSpacePattern, _entry_tuple, _record
 
 __all__ = [
     "ExactMatrix",
@@ -91,16 +91,26 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Sparse matrix of exact polynomials: the row-major ``(i, j, coeffs)`` triples of its nonzero entries, as tuples."""
+    """Sparse matrix of exact polynomials: the row-major ``(i, j, coeffs)`` triples of its nonzero entries, as tuples of ints."""
 
     rows: int
     cols: int
     entries: tuple[tuple[int, int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple([(i, j, tuple(coeffs)) for i, j, coeffs in self.entries]))
-        if not all(0 <= i < self.rows and 0 <= j < self.cols for i, j, _ in self.entries):
-            raise ValueError(f"entry index out of range for a {self.rows}x{self.cols} matrix")
+        rows, cols = self.rows, self.cols
+        if not (type(rows) is type(cols) is int):
+            raise ValueError(f"matrix dimensions must be ints, got {rows!r}x{cols!r}")
+        entries = []
+        for entry in self.entries:
+            i, j, coeffs = _entry_tuple(entry, 3, "entry")
+            coeffs = tuple(coeffs) if isinstance(coeffs, Iterable) else None
+            if coeffs is None or not all(type(x) is int for x in (i, j, *coeffs)):
+                raise ValueError(f"entry {entry!r}: indices and coefficients must be ints")
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry index out of range for a {rows}x{cols} matrix")
+            entries.append((i, j, coeffs))
+        object.__setattr__(self, "entries", tuple(entries))
 
 
 def _nonzero_int(rng: random.Random, bound: int) -> int:
@@ -119,7 +129,7 @@ def instantiate(pattern: PolyPattern, seed: int, coeff_bound: int = DEFAULT_COEF
     # tuple() of a list allocates the final size; of a generator it allocates 10 slots and
     # resizes, so the interpreter's tuple free lists fill up between full collections
     entries = [(i, j, tuple([_nonzero_int(rng, coeff_bound) for _ in range(d + 1)])) for i, j, d in pattern.entries]
-    return ExactMatrix(pattern.rows, pattern.cols, tuple(entries))
+    return _record(ExactMatrix, pattern.rows, pattern.cols, tuple(entries))  # ints in range by construction
 
 
 def _pack(coeffs, width: int) -> int:

@@ -22,7 +22,7 @@ Internally all indices are 0-based.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .errors import PatternFormatError
@@ -59,7 +59,10 @@ class PolyPattern:
         rows, cols, given = self.rows, self.cols, self.entries
         if not (type(rows) is type(cols) is int and rows > 0 and cols > 0):
             raise ValueError(f"pattern dimensions must be positive ints, got {rows!r}x{cols!r}")
-        triples = [(i, j, d) for (i, j), d in given.items()] if isinstance(given, Mapping) else [(i, j, d) for i, j, d in given]
+        if isinstance(given, Mapping):
+            triples = [(*_entry_tuple(position, 2, "position"), d) for position, d in given.items()]
+        else:
+            triples = [_entry_tuple(entry, 3, "entry") for entry in given]
         for i, j, d in triples:
             if not (type(i) is type(j) is type(d) is int):
                 raise ValueError(f"entry ({i!r},{j!r}) of degree {d!r}: indices and degree must be ints")
@@ -94,14 +97,22 @@ class StateSpacePattern:
             raise ValueError(f"state count must be positive, got {self.n}")
         if self.m < 0:
             raise ValueError(f"input count must be non-negative, got {self.m}")
-        object.__setattr__(self, "a_entries", frozenset(self.a_entries))
-        object.__setattr__(self, "b_entries", frozenset(self.b_entries))
-        for name, entries, cols in (("A", self.a_entries, self.n), ("B", self.b_entries, self.m)):
+        for name, field, cols in (("A", "a_entries", self.n), ("B", "b_entries", self.m)):
+            entries = frozenset([_entry_tuple(entry, 2, f"{name} entry") for entry in getattr(self, field)])
+            object.__setattr__(self, field, entries)
             for i, j in entries:
                 if not (type(i) is type(j) is int):
                     raise ValueError(f"{name} entry ({i!r},{j!r}): indices must be ints")
                 if not (0 <= i < self.n and 0 <= j < cols):
                     raise ValueError(f"{name} entry ({i},{j}) outside {self.n}x{cols}")
+
+
+def _entry_tuple(entry, size: int, what: str) -> tuple:
+    """``entry`` as a tuple of ``size`` values; a ValueError names it, as ``what``, if it is not one."""
+    values = tuple(entry) if isinstance(entry, Iterable) else ()
+    if len(values) != size:
+        raise ValueError(f"{what} {entry!r} is not {size} values")
+    return values
 
 
 def _record(cls, *fields):
@@ -118,15 +129,18 @@ def _check_vertices(what: str, vertices: int, lineno: int | None = None):
         raise PatternFormatError(f"{what} has {vertices} vertices, guarded at {MAX_VERTICES}", lineno)
 
 
-def _header(lines: list[str], usage: str, first: str, second: str) -> tuple[int, int, int]:
-    """Line number and two counts of the header, the first line that is neither blank nor a comment."""
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if tokens and tokens[0][0] != "#":
-            if tokens[0] != usage.split()[0] or len(tokens) != 3:
-                raise PatternFormatError(f"expected header '{usage}'", lineno)
-            return lineno, _parse_int(tokens[1], first, lineno), _parse_int(tokens[2], second, lineno)
-    raise PatternFormatError(f"empty input, expected '{usage}' header")
+def _read(text: str, usage: str, first: str, second: str) -> tuple[int, int, int, Iterator[tuple[int, list[str]]]]:
+    """The header's line number and two counts, checked, then (line number, tokens) of each later content line, lazily.
+
+    Lines are numbered as ``str.splitlines`` splits them; blank and comment lines are not content.
+    """
+    lines = ((n, tokens) for n, tokens in enumerate(map(str.split, text.splitlines()), 1) if tokens and tokens[0][0] != "#")
+    header, tokens = next(lines, (0, None))
+    if not header:
+        raise PatternFormatError(f"empty input, expected '{usage}' header")
+    if tokens[0] != usage.split()[0] or len(tokens) != 3:
+        raise PatternFormatError(f"expected header '{usage}'", header)
+    return header, _parse_int(tokens[1], first, header), _parse_int(tokens[2], second, header), lines
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -144,17 +158,13 @@ def parse_pattern(text: str) -> PolyPattern:
     out-of-range indices, negative degrees.  Errors carry the offending
     line number.
     """
-    lines = text.splitlines()
-    header, rows, cols = _header(lines, "pattern <p> <v>", "row count", "column count")
+    header, rows, cols, lines = _read(text, "pattern <p> <v>", "row count", "column count")
     if rows < 1 or cols < 1:
         raise PatternFormatError(f"dimensions must be positive, got {rows} {cols}", header)
     _check_vertices(f"{rows}x{cols} pattern", rows + cols, header)
 
     entries: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(lines[header:], start=header + 1):
-        tokens = raw.split()
-        if not tokens or tokens[0][0] == "#":
-            continue
+    for lineno, tokens in lines:
         if tokens[0] != "entry" or len(tokens) != 4:
             raise PatternFormatError("expected 'entry <i> <j> <degree>'", lineno)
         try:
@@ -175,8 +185,7 @@ def parse_pattern(text: str) -> PolyPattern:
 
 def parse_statespace(text: str) -> StateSpacePattern:
     """Parse state-space text into a StateSpacePattern.  Same error policy as parse_pattern."""
-    lines = text.splitlines()
-    header, n, m = _header(lines, "statespace <n> <m>", "state count", "input count")
+    header, n, m, lines = _read(text, "statespace <n> <m>", "state count", "input count")
     if n < 1:
         raise PatternFormatError(f"state count must be positive, got {n}", header)
     if m < 0:
@@ -185,10 +194,7 @@ def parse_statespace(text: str) -> StateSpacePattern:
 
     a_entries: set[tuple[int, int]] = set()
     b_entries: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines[header:], start=header + 1):
-        tokens = raw.split()
-        if not tokens or tokens[0][0] == "#":
-            continue
+    for lineno, tokens in lines:
         kind = tokens[0]
         if len(tokens) != 3 or kind not in ("a", "b"):
             raise PatternFormatError("expected 'a <i> <j>' or 'b <i> <k>'", lineno)

@@ -509,6 +509,11 @@ class TestGen:
         assert (code, out) == (2, "")
         assert err == "error: 1500000x1 pattern has 1500001 vertices, guarded at 1000000\n"
 
+    def test_random_entries_guarded_before_sampling(self, capsys):
+        # 10^11 sampled cells would exhaust memory; the refusal allocates nothing
+        argv = ["gen", "random", "--rows", "500000", "--cols", "500000", "--density-edges", "100000000000"]
+        assert run(capsys, *argv) == (2, "", "error: edge count 100000000000 guarded at 1000000\n")
+
     def test_random_too_many_edges(self, capsys):
         code, _, err = run(capsys, "gen", "random", "--rows", "2", "--cols", "2",
                            "--density-edges", "5")
@@ -558,6 +563,14 @@ class TestBench:
         assert err == "error: --edges-factor 3 exceeds the smallest --sizes entry 2\n"
         code, out, _ = run(capsys, "bench", "--sizes", "4,2", "--edges-factor", "2")
         assert code == 0 and out.splitlines()[2].split("\t")[2] == "4"  # a full 2x2 pattern
+
+    def test_sizes_past_the_vertex_guard_exit_2(self, capsys):
+        # refused before the ladder runs, so not even the small size is printed
+        expected = (2, "", "error: 600000x600000 pattern has 1200000 vertices, guarded at 1000000\n")
+        assert run(capsys, "bench", "--sizes", "50,600000") == expected
+
+    def test_entries_past_the_guard_exit_2(self, capsys):
+        assert run(capsys, "bench", "--sizes", "400000") == (2, "", "error: edge count 1200000 guarded at 1000000\n")
 
     def test_json(self, capsys):
         _, out, _ = run(capsys, "bench", "--sizes", "5", "--json")
@@ -632,6 +645,27 @@ class TestUsage:
         err = capsys.readouterr().err
         assert f"argument {option}: {message}\n" in err
         assert "randrange" not in err and "int()" not in err
+
+
+# Every option and positional of each subcommand. A new entry is a new knob:
+# it lands only with an edit here and a line in CHANGES.md saying why.
+OPTION_SURFACE = {
+    "analyze": ["--help", "--json", "--quiet", "-h", "file"],
+    "statespace": ["--coeff-range", "--help", "--json", "--quiet", "--seeds", "-h", "file"],
+    "oracle": ["--coeff-range", "--help", "--json", "--mode", "--quiet", "--seeds", "-h", "file"],
+    "gen": ["--cols", "--density-edges", "--help", "--max-degree", "--n", "--n1", "--n2", "--rows", "--seed", "-h", "kind"],
+    "bench": ["--edges-factor", "--help", "--json", "--max-degree", "--seed", "--sizes", "--timeout", "-h"],
+}
+
+
+def test_option_surface_is_pinned():
+    (commands,) = [action for action in _build_parser()._actions if action.choices and action.dest == "command"]
+    surface = {
+        name: sorted(string for action in sub._actions for string in action.option_strings or [action.dest])
+        for name, sub in commands.choices.items()
+    }
+    assert surface == OPTION_SURFACE
+    assert sorted(s for action in _build_parser()._actions for s in action.option_strings) == ["--help", "-h"]
 
 
 class TestSharedParser:

@@ -250,6 +250,21 @@ class TestInstantiate:
         with pytest.raises(ValueError, match="out of range"):
             ExactMatrix(2, 3, ((0, -1, (1,)),))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            pytest.param(lambda: ExactMatrix(1.5, 1, []), r"matrix dimensions must be ints, got 1.5x1", id="float-rows"),
+            pytest.param(lambda: ExactMatrix(1, 1, [(0, 0.0, (1,))]), r"entry \(0, 0.0, \(1,\)\): indices", id="float-index"),
+            pytest.param(
+                lambda: minor_gcd(ExactMatrix(1, 1, [(0, 0, (1.5,))]), 1), r"entry \(0, 0, \(1.5,\)\): indices", id="float-coefficient"
+            ),
+            pytest.param(lambda: ExactMatrix(1, 1, [(0, 0, (True,))]), r"coefficients must be ints", id="bool-coefficient"),
+        ],
+    )
+    def test_refuses_values_that_are_not_ints(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     # Literal draws, taken from the dense-grid instantiate that preceded the
     # sparse triples.  Gcd degrees do not notice a change of draw order;
     # these do.

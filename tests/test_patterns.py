@@ -244,6 +244,21 @@ class TestRecordRules:
         with pytest.raises(ValueError, match="must be .*ints"):
             make()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            pytest.param(lambda: PolyPattern(1, 1, {0: 1}), "position 0 is not 2 values", id="pattern-int-position"),
+            pytest.param(lambda: StateSpacePattern(2, 1, [0]), "A entry 0 is not 2 values", id="statespace-int-entry"),
+            pytest.param(lambda: PolyPattern(1, 1, [(0, 0)]), r"entry \(0, 0\) is not 3 values", id="pattern-short-triple"),
+            pytest.param(
+                lambda: StateSpacePattern(2, 1, [(0, 0, 0)]), r"A entry \(0, 0, 0\) is not 2 values", id="statespace-long-pair"
+            ),
+        ],
+    )
+    def test_refuses_malformed_entries_by_name(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
     def test_pattern_rebuilds_from_its_own_fields(self):
         p = wide_2x3()
         assert PolyPattern(p.rows, p.cols, p.entries) == p
@@ -321,6 +336,53 @@ def statespaces(draw):
     a = draw(st.lists(st.sampled_from(a_cells), unique=True, max_size=len(a_cells)))
     b = draw(st.lists(st.sampled_from(b_cells), unique=True, max_size=len(b_cells))) if b_cells else []
     return StateSpacePattern(n, m, frozenset(a), frozenset(b))
+
+
+# Every break str.splitlines honours, and whitespace that str.split drops but that breaks no line.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACE = " \t\x1f\xa0"
+NOT_A_BREAK = st.characters(blacklist_categories=("Cs",), blacklist_characters="".join(LINE_BREAKS))
+
+
+@st.composite
+def decorated(draw, text: str, bad_line: str | None = None):
+    """``text`` with blank and comment lines between its lines, whitespace runs for its spaces and mixed line breaks.
+
+    With ``bad_line``, that line is planted somewhere after the header.
+    Returns the text and the planted line's 1-based number.
+    """
+    lines, header = [], None
+    for line in text.splitlines():
+        for _ in range(draw(st.integers(0, 2))):
+            pad = draw(st.text(SPACE, max_size=3))
+            lines.append(pad + "#" + draw(st.text(NOT_A_BREAK, max_size=6)) if draw(st.booleans()) else pad)
+        header = len(lines) if header is None else header
+        runs = [draw(st.text(SPACE, min_size=1, max_size=3)) for _ in line.split(" ")[1:]]
+        body = "".join(token + run for token, run in zip(line.split(" "), runs + [""]))
+        lines.append(draw(st.text(SPACE, max_size=2)) + body + draw(st.text(SPACE, max_size=2)))
+    planted = None
+    if bad_line is not None:
+        planted = draw(st.integers(header + 1, len(lines)))
+        lines.insert(planted, bad_line)
+    breaks = [draw(st.sampled_from(LINE_BREAKS)) for _ in lines]
+    for k in range(len(lines) - 1):
+        if breaks[k] == "\r" and lines[k + 1] == "" and breaks[k + 1].startswith("\n"):
+            breaks[k] = "\r\n"  # "\r" + "" + "\n" would read as one break
+    if not draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(line + brk for line, brk in zip(lines, breaks)), None if planted is None else planted + 1
+
+
+@settings(max_examples=150)
+@given(st.data(), patterns(), statespaces())
+def test_reader_skips_blank_and_comment_lines_and_numbers_every_break(data, pattern, ss):
+    cases = [(emit_pattern(pattern), parse_pattern, pattern, "edge 1 1 0"), (emit_statespace(ss), parse_statespace, ss, "c 1 1")]
+    for text, parse, record, bad_line in cases:
+        assert parse(data.draw(decorated(text))[0]) == record
+        planted, lineno = data.draw(decorated(text, bad_line))
+        with pytest.raises(PatternFormatError, match="^line [0-9]+: expected '") as exc:
+            parse(planted)
+        assert exc.value.lineno == lineno
 
 
 @settings(max_examples=200)
