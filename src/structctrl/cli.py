@@ -217,6 +217,8 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     if args.edges_factor > min(args.sizes):  # a p x p pattern holds at most p entries per row
         raise ValueError(f"--edges-factor {args.edges_factor} exceeds the smallest --sizes entry {min(args.sizes)}")
+    if not args.timeout > 0:  # NaN too, which no row time exceeds
+        raise ValueError(f"--timeout must be a positive number of seconds, got {args.timeout}")
     patterns._check_vertices(f"{max(args.sizes)}x{max(args.sizes)} pattern", 2 * max(args.sizes))  # before the ladder runs
     results = []
     for p in args.sizes:

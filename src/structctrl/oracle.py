@@ -42,7 +42,7 @@ from itertools import combinations
 
 from .bigraph import build_graph, term_rank
 from .errors import GuardLimitError, ZeroTermRankError
-from .patterns import PolyPattern, StateSpacePattern, _entry_tuple, _record
+from .patterns import PolyPattern, StateSpacePattern, _grid_entries, _record
 
 __all__ = [
     "ExactMatrix",
@@ -91,7 +91,10 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Sparse matrix of exact polynomials: the row-major ``(i, j, coeffs)`` triples of its nonzero entries, as tuples of ints."""
+    """Sparse matrix of exact polynomials: the sorted, row-major ``(i, j, coeffs)`` triples of its nonzero entries.
+
+    Dimensions are positive ints, indices ints in range with no position twice, coefficients tuples of ints.
+    """
 
     rows: int
     cols: int
@@ -99,22 +102,23 @@ class ExactMatrix:
 
     def __post_init__(self):
         rows, cols = self.rows, self.cols
-        if not (type(rows) is type(cols) is int):
-            raise ValueError(f"matrix dimensions must be ints, got {rows!r}x{cols!r}")
+        if not (type(rows) is type(cols) is int and rows > 0 and cols > 0):
+            raise ValueError(f"matrix dimensions must be positive ints, got {rows!r}x{cols!r}")
         entries = []
-        for entry in self.entries:
-            i, j, coeffs = _entry_tuple(entry, 3, "entry")
-            coeffs = tuple(coeffs) if isinstance(coeffs, Iterable) else None
-            if coeffs is None or not all(type(x) is int for x in (i, j, *coeffs)):
-                raise ValueError(f"entry {entry!r}: indices and coefficients must be ints")
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry index out of range for a {rows}x{cols} matrix")
+        for i, j, given in _grid_entries(self.entries, 3, rows, cols, "entry"):
+            coeffs = tuple(given) if isinstance(given, Iterable) else None
+            if coeffs is None or not all(type(c) is int for c in coeffs):
+                raise ValueError(f"entry ({i},{j}) has coefficients {given!r}; coefficients must be ints")
             entries.append((i, j, coeffs))
-        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "entries", tuple(sorted(entries)))
 
 
-def _nonzero_int(rng: random.Random, bound: int) -> int:
-    return rng.choice((1, -1)) * rng.randint(1, bound)
+def _nonzero_ints(seed: int, bound: int):
+    """A function that draws nonzero ints in [-bound, bound] from a generator seeded with ``seed``; checks the bound, once."""
+    if not (type(bound) is int and bound >= 1):
+        raise ValueError(f"coefficient bound must be an int >= 1, got {bound!r}")
+    rng = random.Random(seed)
+    return lambda: rng.choice((1, -1)) * rng.randint(1, bound)
 
 
 def instantiate(pattern: PolyPattern, seed: int, coeff_bound: int = DEFAULT_COEFF_BOUND) -> ExactMatrix:
@@ -125,10 +129,10 @@ def instantiate(pattern: PolyPattern, seed: int, coeff_bound: int = DEFAULT_COEF
     from the nonzero integers in [-coeff_bound, coeff_bound]; absent entries
     are zero and have no triple.
     """
-    rng = random.Random(seed)
+    draw = _nonzero_ints(seed, coeff_bound)
     # tuple() of a list allocates the final size; of a generator it allocates 10 slots and
     # resizes, so the interpreter's tuple free lists fill up between full collections
-    entries = [(i, j, tuple([_nonzero_int(rng, coeff_bound) for _ in range(d + 1)])) for i, j, d in pattern.entries]
+    entries = [(i, j, tuple([draw() for _ in range(d + 1)])) for i, j, d in pattern.entries]
     return _record(ExactMatrix, pattern.rows, pattern.cols, tuple(entries))  # ints in range by construction
 
 
@@ -357,13 +361,13 @@ def _kalman_ranks(ss: StateSpacePattern, seeds, coeff_bound) -> Iterator[int]:
     if ss.n > KALMAN_MAX_STATES:
         raise GuardLimitError(f"controllability-matrix test guarded at {KALMAN_MAX_STATES} states, got {ss.n}")
     for seed in seeds:
-        rng = random.Random(seed)
+        draw = _nonzero_ints(seed, coeff_bound)
         a_rows = [[] for _ in range(ss.n)]
         for i, j in sorted(ss.a_entries):
-            a_rows[i].append((j, _nonzero_int(rng, coeff_bound)))
+            a_rows[i].append((j, draw()))
         queue = [[0] * ss.n for _ in range(ss.m)]  # the columns of B
         for i, k in sorted(ss.b_entries):
-            queue[k][i] = _nonzero_int(rng, coeff_bound) % _PRIME
+            queue[k][i] = draw() % _PRIME
         basis = []  # (pivot, vector): 1 at its pivot, 0 at every earlier pivot
         for v in queue:  # the loop also visits the images appended below
             for p, b in basis:

@@ -44,9 +44,9 @@ class PolyPattern:
     """Nonzero structure of a p-by-v polynomial matrix.
 
     Built from a mapping of 0-based (row, col) positions to entry degrees
-    (>= 0), or from (row, col, degree) triples with no position twice;
-    dimensions, indices and degrees must be ints.  ``entries`` holds them as
-    row-major (row, col, degree) triples, the format of the graph's
+    (>= 0), or from (row, col, degree) triples with no position twice; the
+    positive dimensions, indices and degrees must be ints.  ``entries`` holds
+    them as row-major (row, col, degree) triples, the format of the graph's
     ``edges``.  A pattern compares, hashes, pickles and copies as a record
     of its three fields, and ``dataclasses.replace`` rebuilds it.
     """
@@ -60,18 +60,12 @@ class PolyPattern:
         if not (type(rows) is type(cols) is int and rows > 0 and cols > 0):
             raise ValueError(f"pattern dimensions must be positive ints, got {rows!r}x{cols!r}")
         if isinstance(given, Mapping):
-            triples = [(*_entry_tuple(position, 2, "position"), d) for position, d in given.items()]
+            triples = [(*p, d) for p, d in zip(_grid_entries(given, 2, rows, cols, "position"), given.values())]
         else:
-            triples = [_entry_tuple(entry, 3, "entry") for entry in given]
+            triples = _grid_entries(given, 3, rows, cols, "entry")
         for i, j, d in triples:
-            if not (type(i) is type(j) is type(d) is int):
-                raise ValueError(f"entry ({i!r},{j!r}) of degree {d!r}: indices and degree must be ints")
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols} pattern")
-            if d < 0:
-                raise ValueError(f"entry ({i},{j}) has negative degree {d}")
-        if len({(i, j) for i, j, _ in triples}) < len(triples):
-            raise ValueError("pattern entries repeat a position")
+            if not (type(d) is int and d >= 0):
+                raise ValueError(f"entry ({i},{j}) has degree {d!r}; degrees must be ints >= 0")
         object.__setattr__(self, "entries", tuple(sorted(triples)))
 
 
@@ -79,10 +73,10 @@ class PolyPattern:
 class StateSpacePattern:
     """Nonzero structure of a first-order system d/dt x = A x + B u.
 
-    ``a_entries`` holds 0-based (i, j) positions where A is nonzero,
-    ``b_entries`` 0-based (i, k) positions where B is nonzero; both are
-    stored as frozensets, whatever collection is given.  Counts and indices
-    must be ints.
+    ``a_entries`` holds 0-based (i, j) positions where A is nonzero and
+    ``b_entries`` (i, k) positions where B is nonzero, no position twice;
+    both are stored as frozensets, whatever collection is given.  Counts
+    and indices must be ints, n positive and m non-negative.
     """
 
     n: int
@@ -98,21 +92,25 @@ class StateSpacePattern:
         if self.m < 0:
             raise ValueError(f"input count must be non-negative, got {self.m}")
         for name, field, cols in (("A", "a_entries", self.n), ("B", "b_entries", self.m)):
-            entries = frozenset([_entry_tuple(entry, 2, f"{name} entry") for entry in getattr(self, field)])
-            object.__setattr__(self, field, entries)
-            for i, j in entries:
-                if not (type(i) is type(j) is int):
-                    raise ValueError(f"{name} entry ({i!r},{j!r}): indices must be ints")
-                if not (0 <= i < self.n and 0 <= j < cols):
-                    raise ValueError(f"{name} entry ({i},{j}) outside {self.n}x{cols}")
+            object.__setattr__(self, field, frozenset(_grid_entries(getattr(self, field), 2, self.n, cols, f"{name} entry")))
 
 
-def _entry_tuple(entry, size: int, what: str) -> tuple:
-    """``entry`` as a tuple of ``size`` values; a ValueError names it, as ``what``, if it is not one."""
-    values = tuple(entry) if isinstance(entry, Iterable) else ()
-    if len(values) != size:
-        raise ValueError(f"{what} {entry!r} is not {size} values")
-    return values
+def _grid_entries(given: Iterable, arity: int, rows: int, cols: int, what: str) -> list[tuple]:
+    """Entries as ``arity``-tuples led by int (row, col) positions in the grid, each once; a ValueError names a bad one as ``what``."""
+    entries: dict[tuple[int, int], tuple] = {}
+    for entry in given:
+        values = tuple(entry) if isinstance(entry, Iterable) else ()
+        if len(values) != arity:
+            raise ValueError(f"{what} {entry!r} is not {arity} values")
+        i, j = values[:2]
+        if not (type(i) is type(j) is int):
+            raise ValueError(f"{what} {entry!r}: indices must be ints")
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"{what} ({i},{j}) outside {rows}x{cols}")
+        if (i, j) in entries:
+            raise ValueError(f"duplicate {what} ({i},{j})")
+        entries[i, j] = values
+    return list(entries.values())
 
 
 def _record(cls, *fields):

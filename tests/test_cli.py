@@ -564,6 +564,13 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--sizes", "4,2", "--edges-factor", "2")
         assert code == 0 and out.splitlines()[2].split("\t")[2] == "4"  # a full 2x2 pattern
 
+    @pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+    def test_timeout_must_be_positive(self, capsys, timeout):
+        # refused before any row runs: a NaN budget used to mark every row a timeout
+        code, out, err = run(capsys, "bench", "--sizes", "3", "--timeout", timeout)
+        assert (code, out) == (2, "")
+        assert err == f"error: --timeout must be a positive number of seconds, got {float(timeout)}\n"
+
     def test_sizes_past_the_vertex_guard_exit_2(self, capsys):
         # refused before the ladder runs, so not even the small size is printed
         expected = (2, "", "error: 600000x600000 pattern has 1200000 vertices, guarded at 1000000\n")

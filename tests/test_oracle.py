@@ -245,18 +245,18 @@ class TestInstantiate:
         assert instantiate(p, seed=11) == instantiate(p, seed=11)
 
     def test_rejects_out_of_range_entry(self):
-        with pytest.raises(ValueError, match="out of range for a 2x3 matrix"):
+        with pytest.raises(ValueError, match=r"^entry \(2,0\) outside 2x3$"):
             ExactMatrix(2, 3, ((0, 0, (1,)), (2, 0, (1,))))
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"^entry \(0,-1\) outside 2x3$"):
             ExactMatrix(2, 3, ((0, -1, (1,)),))
 
     @pytest.mark.parametrize(
         "make, message",
         [
-            pytest.param(lambda: ExactMatrix(1.5, 1, []), r"matrix dimensions must be ints, got 1.5x1", id="float-rows"),
+            pytest.param(lambda: ExactMatrix(1.5, 1, []), r"matrix dimensions must be positive ints, got 1.5x1", id="float-rows"),
             pytest.param(lambda: ExactMatrix(1, 1, [(0, 0.0, (1,))]), r"entry \(0, 0.0, \(1,\)\): indices", id="float-index"),
             pytest.param(
-                lambda: minor_gcd(ExactMatrix(1, 1, [(0, 0, (1.5,))]), 1), r"entry \(0, 0, \(1.5,\)\): indices", id="float-coefficient"
+                lambda: minor_gcd(ExactMatrix(1, 1, [(0, 0, (1.5,))]), 1), r"entry \(0,0\) has coefficients \(1.5,\); coefficients", id="float-coefficient"
             ),
             pytest.param(lambda: ExactMatrix(1, 1, [(0, 0, (True,))]), r"coefficients must be ints", id="bool-coefficient"),
         ],
@@ -277,6 +277,34 @@ class TestInstantiate:
     )
     def test_pinned_draws_wide_2x3(self, seed, entries):
         assert instantiate(wide_2x3(), seed).entries == entries
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_triples_in_any_order_make_one_matrix(self, seed):
+        m = instantiate(PolyPattern(3, 4, {(i, j): (i + j) % 3 for i in range(3) for j in range(4) if i != j}), seed)
+        shuffled = list(m.entries)
+        random.Random(seed).shuffle(shuffled)
+        again = ExactMatrix(3, 4, shuffled)
+        assert again == m and again.entries == tuple(sorted(shuffled))
+        assert minor_gcd(again, 3) == minor_gcd(m, 3)
+        assert minor_gcd(ExactMatrix(3, 4, m.entries[::-1]), 2) == minor_gcd(m, 2)
+
+
+# Where the coefficient bound enters, it is an int >= 1; bool is not taken as 1.
+BOUND_ENTRY_POINTS = [
+    pytest.param(lambda bound: instantiate(wide_2x3(), 0, bound), id="instantiate"),
+    pytest.param(lambda bound: zero_set_empty(wide_2x3(), [0], bound), id="zero_set_empty"),
+    pytest.param(lambda bound: zero_set_gcd_degrees(wide_2x3(), [0], bound), id="zero_set_gcd_degrees"),
+    pytest.param(lambda bound: kalman_controllable(controller_canonical(3), [0], bound), id="kalman_controllable"),
+    pytest.param(lambda bound: kalman_deficiencies(controller_canonical(3), [0], bound), id="kalman_deficiencies"),
+]
+
+
+@pytest.mark.parametrize("bound", [0, -2, 1.5, True], ids=["zero", "negative", "float", "bool"])
+@pytest.mark.parametrize("call", BOUND_ENTRY_POINTS)
+def test_coefficient_bound_is_an_int_at_least_one(call, bound):
+    with pytest.raises(ValueError, match=rf"^coefficient bound must be an int >= 1, got {bound!r}$"):
+        call(bound)
+    call(1)
 
 
 class TestZeroSet:

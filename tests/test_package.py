@@ -8,6 +8,49 @@ import structctrl
 from structctrl import bigraph, decision, errors, oracle, patterns, reduction, statespace
 
 
+# Each module's __all__, in order. A new entry is a new public name: it lands
+# only with an edit here and a line in CHANGES.md saying why.
+PUBLIC_API = {
+    "patterns": ["PolyPattern", "StateSpacePattern", "parse_pattern", "parse_statespace", "emit_pattern", "emit_statespace"],
+    "bigraph": ["build_graph", "term_rank"],
+    "reduction": ["ReducedGraph", "Component", "remove_redundant_edges", "connected_components"],
+    "decision": [
+        "CONTROLLABLE",
+        "UNCONTROLLABLE",
+        "Witness",
+        "AnalysisReport",
+        "generic_nonsingular",
+        "generic_unimodular",
+        "analyze",
+        "analyze_reduction",
+    ],
+    "statespace": [
+        "StateSpaceReport",
+        "controllability_pencil",
+        "analyze_statespace",
+        "controller_canonical",
+        "gilbert_form",
+        "siso_interconnection",
+    ],
+    "oracle": [
+        "ExactMatrix",
+        "instantiate",
+        "minor_gcd",
+        "zero_set_empty",
+        "zero_set_gcd_degrees",
+        "kalman_controllable",
+        "kalman_deficiencies",
+    ],
+    "errors": ["PatternFormatError", "GuardLimitError", "ZeroTermRankError"],
+}
+
+
+def test_public_api_is_pinned():
+    modules = (patterns, bigraph, reduction, decision, statespace, oracle, errors)
+    assert {mod.__name__.removeprefix("structctrl."): mod.__all__ for mod in modules} == PUBLIC_API
+    assert len(structctrl.__all__) == 36
+
+
 def test_package_all_joins_module_lists():
     joined = [name for mod in (patterns, bigraph, reduction, decision, statespace, oracle, errors) for name in mod.__all__]
     assert structctrl.__all__ == joined

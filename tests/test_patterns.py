@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structctrl import (
+    ExactMatrix,
     PatternFormatError,
     PolyPattern,
     StateSpacePattern,
@@ -266,12 +267,43 @@ class TestRecordRules:
         wider = dataclasses.replace(p, cols=4)
         assert (wider.rows, wider.cols, wider.entries) == (2, 4, p.entries)
         assert PolyPattern(2, 3, [[1, 2, 0], [0, 0, 1]]).entries == ((0, 0, 1), (1, 2, 0))
-        with pytest.raises(ValueError, match="outside 2x2 pattern"):
+        with pytest.raises(ValueError, match=r"^entry \(0,2\) outside 2x2$"):
             dataclasses.replace(p, cols=2)
-        with pytest.raises(ValueError, match="repeat a position"):
+        with pytest.raises(ValueError, match=r"^duplicate entry \(0,0\)$"):
             PolyPattern(2, 3, [(0, 0, 1), (1, 1, 0), (0, 0, 2)])
         ss = gilbert_form(3)
         assert dataclasses.replace(ss, m=2) == StateSpacePattern(3, 2, ss.a_entries, ss.b_entries)
+
+
+# One position rule for every record: the same malformed entries, each
+# extended to the record's arity, and the same non-positive sizes.
+RECORDS = [
+    pytest.param(lambda n, entries: PolyPattern(n, n, [(*e, 0) for e in entries]), id="PolyPattern"),
+    pytest.param(lambda n, entries: StateSpacePattern(n, 1, entries), id="StateSpacePattern-A"),
+    pytest.param(lambda n, entries: StateSpacePattern(n, n, (), entries), id="StateSpacePattern-B"),
+    pytest.param(lambda n, entries: ExactMatrix(n, n, [(*e, (1,)) for e in entries]), id="ExactMatrix"),
+]
+
+
+@pytest.mark.parametrize("make", RECORDS)
+@pytest.mark.parametrize(
+    "n, entries",
+    [
+        pytest.param(2, [(0, 0), (1, 1), (0, 0)], id="repeated-position"),
+        pytest.param(2, [(0, 1), (2, 0)], id="row-outside"),
+        pytest.param(2, [(0, -1)], id="negative-column"),
+        pytest.param(2, [(0, 1.0)], id="float-index"),
+        pytest.param(2, [(True, 0)], id="bool-index"),
+        pytest.param(2, [(0, 0, 0)], id="one-value-too-many"),
+        pytest.param(2, [(0,)], id="one-value-too-few"),
+        pytest.param(0, [], id="zero-size"),
+        pytest.param(-1, [], id="negative-size"),
+    ],
+)
+def test_one_position_rule_for_every_record(make, n, entries):
+    make(2, [(0, 0), (1, 1), (0, 1)])  # well-formed entries pass
+    with pytest.raises(ValueError):
+        make(n, entries)
 
 
 class TestImmutable:
