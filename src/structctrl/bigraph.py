@@ -69,9 +69,12 @@ def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int], list[int]]:
     free; failing that, the search descends through its matched columns,
     ascending in one phase and descending in the next.  Phases repeat while
     some row augments, so the last finds no augmenting path and the matching
-    is maximum (Berge).  Deterministic; O(V * E) in the worst case, against
-    O(E * sqrt(V)) for Hopcroft-Karp.  Iterative, so long augmenting paths
-    cannot exhaust the stack.
+    is maximum (Berge).  An augmentation flips the path in place, popping
+    the frames from the row that found the free column back to the root:
+    each row takes the column handed up to it and hands its old mate on.
+    Deterministic; O(V * E) in the worst case, against O(E * sqrt(V)) for
+    Hopcroft-Karp.  Iterative, so long augmenting paths cannot exhaust the
+    stack.
     """
     adj = g.r_adj
     pair_r = [_UNMATCHED] * g.r_count
@@ -94,9 +97,12 @@ def _max_matching_pairs(g: WeightedBigraph) -> tuple[int, list[int], list[int]]:
                 look[r] = k
                 if k < len(row):  # free column: flip the path back to root
                     c = row[k]
-                    for r in [r] + [f[0] for f in reversed(frames)]:
+                    while True:
                         pair_c[c] = r
                         pair_r[r], c = c, pair_r[r]
+                        if not frames:
+                            break
+                        r = frames.pop()[0]
                     augmented = True
                     break
                 # Every column of r is matched: descend through one not yet seen, or backtrack.

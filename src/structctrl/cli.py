@@ -51,28 +51,20 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _report_json(report: AnalysisReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "minimal": report.minimal,
-        "term_rank": report.term_rank,
-        "redundant_edges": [[r + 1, c + 1] for r, c in report.redundant_edges],
-        "components": [
-            {
-                "rows": [r + 1 for r in comp.rows],
-                "cols": [c + 1 for c in comp.cols],
-                "max_weight": comp.max_weight,
-            }
-            for comp in report.components
-        ],
-        "witness": None
-        if report.witness is None
-        else {
-            "component": report.witness.component,
-            "edge": [report.witness.edge[0] + 1, report.witness.edge[1] + 1],
-            "weight": report.witness.weight,
-        },
-    }
+def _report_json(report: AnalysisReport, extra: dict) -> str:
+    """``json.dumps`` of the report's dict, ``extra`` keys last; the components, up to one per vertex, are written as text."""
+    redundant = [[r + 1, c + 1] for r, c in report.redundant_edges]
+    head = json.dumps({"verdict": report.verdict, "minimal": report.minimal, "term_rank": report.term_rank, "redundant_edges": redundant})
+    w = report.witness
+    witness = None if w is None else {"component": w.component, "edge": [w.edge[0] + 1, w.edge[1] + 1], "weight": w.weight}
+    components = ", ".join(
+        [
+            '{"rows": [%s], "cols": [%s], "max_weight": %d}'
+            % (", ".join([str(r + 1) for r in rs]), ", ".join([str(c + 1) for c in cs]), mw)
+            for rs, cs, mw in report.components
+        ]
+    )
+    return f'{head[:-1]}, "components": [{components}], {json.dumps({"witness": witness} | extra)[1:]}'
 
 
 def _print_report(report: AnalysisReport, quiet: bool):
@@ -99,7 +91,7 @@ def _print_report(report: AnalysisReport, quiet: bool):
 def _print_verdict(report: AnalysisReport, args, **extra) -> int:
     """Print ``report`` as JSON, ``extra`` keys last, or as text; return the exit status of its verdict."""
     if args.json:
-        print(json.dumps(_report_json(report) | extra))
+        print(_report_json(report, extra))
     else:
         _print_report(report, args.quiet)
     return 0 if report.controllable else 1

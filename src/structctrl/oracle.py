@@ -121,6 +121,14 @@ def _nonzero_ints(seed: int, bound: int):
     return lambda: rng.choice((1, -1)) * rng.randint(1, bound)
 
 
+def _seed_list(seeds) -> list:
+    """The seeds as a list, read once so an iterator works too; an empty collection would answer without trying a seed."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must hold at least one seed, got an empty collection")
+    return seeds
+
+
 def instantiate(pattern: PolyPattern, seed: int, coeff_bound: int = DEFAULT_COEFF_BOUND) -> ExactMatrix:
     """Fill a pattern with random integer-coefficient polynomials.
 
@@ -302,6 +310,7 @@ def _euclid_work(pattern: PolyPattern, rank: int, minors: int) -> tuple[int, int
 
 def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound) -> Iterator[int]:
     """Check the arguments, then lazily yield each seed's maximal-minor gcd degree (-1: every minor vanishes)."""
+    seeds = _seed_list(seeds)
     if not pattern.entries:  # term rank 0; checked, like the size guards, before the matching
         raise ZeroTermRankError("pattern has term rank 0; zero-set test undefined")
     if min(pattern.rows, pattern.cols) > ZERO_SET_MAX_DIM:
@@ -358,6 +367,7 @@ def _kalman_ranks(ss: StateSpacePattern, seeds, coeff_bound) -> Iterator[int]:
     vector that raises the rank joins it and queues its image under A, until
     the rank is n or the queue runs out.
     """
+    seeds = _seed_list(seeds)
     if ss.n > KALMAN_MAX_STATES:
         raise GuardLimitError(f"controllability-matrix test guarded at {KALMAN_MAX_STATES} states, got {ss.n}")
     for seed in seeds:

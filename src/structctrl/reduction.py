@@ -134,8 +134,12 @@ def _square_part_cycles(g: WeightedBigraph, pair_c: list[int], root_of: list[int
     component exactly when an M-alternating cycle passes through both.  Rows
     already rooted, the H and V rows, are left out: H is closed under the
     arcs and no square-part row reaches V, so no cycle joins them to the
-    square part, and every column at a square-part row is matched.  Iterative
-    Tarjan, so large graphs cannot exhaust the stack.
+    square part, and every column at a square-part row is matched.  A row
+    whose every arc leads to itself or to a rooted row, which between
+    searches lies in a finished component, is its own component: it is
+    rooted at once, with no Tarjan frame, as each singleton block of a
+    pencil is.  Iterative Tarjan for the rest, so large graphs cannot
+    exhaust the stack.
     """
     n = g.r_count
     index = [-1] * n
@@ -144,6 +148,13 @@ def _square_part_cycles(g: WeightedBigraph, pair_c: list[int], root_of: list[int
     counter = 0
     for root in range(n):
         if root_of[root] != -1:
+            continue
+        for c in g.r_adj[root]:
+            r2 = pair_c[c]
+            if r2 != root and root_of[r2] == -1:
+                break
+        else:
+            root_of[root] = root
             continue
         index[root] = low[root] = counter
         counter += 1

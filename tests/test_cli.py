@@ -1,5 +1,7 @@
 """Command-line interface: verdict lines, exit codes, JSON schema, generators, bench."""
 
+import contextlib
+import io
 import json
 import random
 import runpy
@@ -8,9 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from structctrl import PolyPattern, cli, decision, emit_pattern, oracle, parse_pattern, parse_statespace, patterns, statespace
+from structctrl import PolyPattern, cli, decision, emit_pattern, emit_statespace, oracle, parse_pattern, parse_statespace, patterns, statespace
 from structctrl.cli import _build_parser, main
+
+from test_patterns import patterns as small_patterns
+from test_patterns import statespaces
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # States 1-5 chained from 20 inputs, state 6 unreached: the 6x26 pencil has
@@ -705,3 +712,66 @@ class TestSharedParser:
                 main(argv)
             assert exc.value.code == 2
         assert run(capsys, "analyze", "--quiet", str(FIXTURES / "wide_2x3.txt"))[1] == "structurally controllable\n"
+
+
+def reference_report_json(report: decision.AnalysisReport) -> dict:
+    """The report as one dict, in key order, 1-based: the JSON writer must print exactly ``json.dumps`` of it."""
+    return {
+        "verdict": report.verdict,
+        "minimal": report.minimal,
+        "term_rank": report.term_rank,
+        "redundant_edges": [[r + 1, c + 1] for r, c in report.redundant_edges],
+        "components": [
+            {
+                "rows": [r + 1 for r in comp.rows],
+                "cols": [c + 1 for c in comp.cols],
+                "max_weight": comp.max_weight,
+            }
+            for comp in report.components
+        ],
+        "witness": None
+        if report.witness is None
+        else {
+            "component": report.witness.component,
+            "edge": [report.witness.edge[0] + 1, report.witness.edge[1] + 1],
+            "weight": report.witness.weight,
+        },
+    }
+
+
+def _json_output(command: str, text: str) -> str:
+    out, stdin = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main([command, "--json", "-"]) in (0, 1)
+    finally:
+        sys.stdin = stdin
+    return out.getvalue()
+
+
+@st.composite
+def sparse_headers(draw):
+    """Up to 40x40 headers with at most six entries: most rows and columns are isolated vertices."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    cells = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)), min_size=1, max_size=6, unique=True))
+    return PolyPattern(rows, cols, {cell: draw(st.integers(0, 3)) for cell in cells})
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_patterns().filter(lambda p: p.entries) | sparse_headers())
+@example(PolyPattern(6, 9, {(2, 4): 1}))
+@example(statespace.controllability_pencil(statespace.gilbert_form(50)))
+def test_analyze_json_is_the_reference_dict_byte_for_byte(pattern):
+    expected = json.dumps(reference_report_json(decision.analyze(pattern))) + "\n"
+    assert _json_output("analyze", emit_pattern(pattern)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(statespaces())
+@example(statespace.gilbert_form(50))
+@example(statespace.controller_canonical(4))
+def test_statespace_json_is_the_reference_dict_and_extra_keys_byte_for_byte(ss):
+    out = _json_output("statespace", emit_statespace(ss))
+    extra = {key: json.loads(out)[key] for key in ("state_connectivity", "cross_check_disagreement")}
+    assert out == json.dumps(reference_report_json(statespace.analyze_statespace(ss).base) | extra) + "\n"

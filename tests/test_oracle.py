@@ -307,6 +307,24 @@ def test_coefficient_bound_is_an_int_at_least_one(call, bound):
     call(1)
 
 
+# Where the seeds enter, an empty collection is refused rather than answered
+# without a seed; an iterator is read once and gives the list's answers.
+SEED_ENTRY_POINTS = [
+    pytest.param(lambda seeds: zero_set_empty(wide_2x3(), seeds), True, id="zero_set_empty"),
+    pytest.param(lambda seeds: zero_set_gcd_degrees(wide_2x3(), seeds), [0, 0], id="zero_set_gcd_degrees"),
+    pytest.param(lambda seeds: kalman_controllable(controller_canonical(3), seeds), True, id="kalman_controllable"),
+    pytest.param(lambda seeds: kalman_deficiencies(controller_canonical(3), seeds), [0, 0], id="kalman_deficiencies"),
+]
+
+
+@pytest.mark.parametrize("call, answer", SEED_ENTRY_POINTS)
+def test_seeds_are_a_nonempty_collection(call, answer):
+    for empty in ([], (), iter([]), range(0)):
+        with pytest.raises(ValueError, match=r"^seeds must hold at least one seed, got an empty collection$"):
+            call(empty)
+    assert call([0, 1]) == call(iter([0, 1])) == call(x for x in (0, 1)) == answer
+
+
 class TestZeroSet:
     def test_two_generic_polys_coprime(self):
         p = PolyPattern(1, 2, {(0, 0): 2, (0, 1): 3})

@@ -19,6 +19,7 @@ from structctrl import (
     remove_redundant_edges,
     term_rank,
 )
+from structctrl import reduction
 from structctrl.bigraph import WeightedBigraph
 
 from fixture_patterns import (
@@ -179,8 +180,38 @@ def seeded_large_graphs(draw):
     return graph(rows, cols, [(r, c, rng.randint(0, 2)) for r, c in edges])
 
 
+@st.composite
+def singleton_mixes(draw):
+    """Square parts of lone rows and short cycles, beside an optional H row and V column.
+
+    Every row r holds the diagonal column r.  A lone row holds nothing else,
+    so its only arc leads to itself.  A row of a 2- or 3-cycle holds one more
+    column, the next row's diagonal one, so its single other arc leads to a
+    row that reaches back to it: a cycle the lone-row rooting must not cut.
+    A few one-way edges lead into other blocks, and the extra column (a V
+    part) or row (an H part) makes some arcs lead to rows rooted before the
+    square part is searched.
+    """
+    n = draw(st.integers(2, 30))
+    order = draw(st.permutations(range(n)))
+    edges = {(r, r) for r in range(n)}
+    start = 0
+    while start < n:
+        cycle = order[start : start + draw(st.sampled_from((1, 1, 2, 3)))]
+        edges.update((r, cycle[(k + 1) % len(cycle)]) for k, r in enumerate(cycle) if len(cycle) > 1)
+        start += len(cycle)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges.update(draw(st.lists(pairs, max_size=3)))
+    rows, cols = n + draw(st.integers(0, 1)), n + draw(st.integers(0, 1))
+    if rows > n:
+        edges.add((n, draw(st.integers(0, n - 1))))
+    if cols > n:
+        edges.add((draw(st.integers(0, n - 1)), n))
+    return graph(rows, cols, [(r, c, draw(st.integers(0, 2))) for r, c in sorted(edges)])
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(weighted_graphs(), seeded_large_graphs()))
+@given(st.one_of(weighted_graphs(), seeded_large_graphs(), singleton_mixes()))
 def test_reduction_matches_per_edge_reference(g):
     assert remove_redundant_edges(g) == reference_reduction(g)
 
@@ -227,7 +258,7 @@ def pencil_graphs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(weighted_graphs(), seeded_large_graphs(), pencil_graphs()))
+@given(st.one_of(weighted_graphs(), seeded_large_graphs(), pencil_graphs(), singleton_mixes()))
 def test_components_and_witness_match_union_find_reference(g):
     rg = remove_redundant_edges(g)
     expected = reference_components(rg)
@@ -257,6 +288,15 @@ def test_square_components_are_the_square_part_blocks(g):
             assert rows <= v_rows and cols <= v_cols
         else:
             assert not rows & (h_rows | v_rows) and not cols & (h_cols | v_cols)
+
+
+def test_lone_rows_get_no_tarjan_frame(monkeypatch):
+    """Each of gilbert_form's n - 2 singleton square blocks is rooted without the iterator of a Tarjan frame."""
+    frames = []
+    monkeypatch.setattr(reduction, "iter", lambda arcs: frames.append(arcs) or iter(arcs), raising=False)
+    rg = remove_redundant_edges(build_graph(controllability_pencil(gilbert_form(40))))
+    assert frames == []
+    assert len(connected_components(rg)) == 39
 
 
 @pytest.mark.parametrize(
