@@ -149,11 +149,11 @@ def _print_cross_check_note(cross: dict, zero_diagonal: bool, controllable: bool
 
 def cmd_oracle(args) -> int:
     text = _read_text(args.file)
-    first = next((line.strip() for line in text.splitlines() if line.strip() and not line.strip().startswith("#")), "")
+    first = next(patterns._content_lines(text), (0, [""]))[1][0]  # the header's keyword; "" for empty input
     ss = parse_statespace(text) if first.startswith("statespace") else None
-    pattern = parse_pattern(text) if ss is None else controllability_pencil(ss)
+    pattern = parse_pattern(text) if ss is None else None  # parsed before the mode check, so a bad file reports its line
     if args.mode == "generic":
-        degrees = zero_set_gcd_degrees(pattern, args.seeds, args.coeff_range)
+        degrees = zero_set_gcd_degrees(controllability_pencil(ss) if pattern is None else pattern, args.seeds, args.coeff_range)
     elif ss is None:
         raise ValueError("mode statespace_strict requires a statespace file")
     else:  # PBH: the true pencil's gcd degree is n - Krylov rank

@@ -127,12 +127,18 @@ def _check_vertices(what: str, vertices: int, lineno: int | None = None):
         raise PatternFormatError(f"{what} has {vertices} vertices, guarded at {MAX_VERTICES}", lineno)
 
 
-def _read(text: str, usage: str, first: str, second: str) -> tuple[int, int, int, Iterator[tuple[int, list[str]]]]:
-    """The header's line number and two counts, checked, then (line number, tokens) of each later content line, lazily.
+def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each content line, lazily; lines are numbered as ``str.splitlines`` splits them.
 
-    Lines are numbered as ``str.splitlines`` splits them; blank and comment lines are not content.
+    Blank and comment lines are not content.  One byte-order mark (U+FEFF) at the very start of the text is dropped.
     """
-    lines = ((n, tokens) for n, tokens in enumerate(map(str.split, text.splitlines()), 1) if tokens and tokens[0][0] != "#")
+    lines = enumerate(map(str.split, text.removeprefix("\ufeff").splitlines()), 1)
+    return ((n, tokens) for n, tokens in lines if tokens and tokens[0][0] != "#")
+
+
+def _read(text: str, usage: str, first: str, second: str) -> tuple[int, int, int, Iterator[tuple[int, list[str]]]]:
+    """The header's line number and two counts, checked, then the later content lines as ``_content_lines`` yields them."""
+    lines = _content_lines(text)
     header, tokens = next(lines, (0, None))
     if not header:
         raise PatternFormatError(f"empty input, expected '{usage}' header")
@@ -202,17 +208,14 @@ def parse_statespace(text: str) -> StateSpacePattern:
             i = _parse_int(tokens[1], "row index", lineno)
             j = _parse_int(tokens[2], "column index" if kind == "a" else "input index", lineno)
         if kind == "a":
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise PatternFormatError(f"A entry ({i},{j}) out of range for n={n}", lineno)
-            if (i - 1, j - 1) in a_entries:
-                raise PatternFormatError(f"duplicate A entry ({i},{j})", lineno)
-            a_entries.add((i - 1, j - 1))
+            seen, cols = a_entries, n
         else:
-            if not (1 <= i <= n and 1 <= j <= m):
-                raise PatternFormatError(f"B entry ({i},{j}) out of range for n={n}, m={m}", lineno)
-            if (i - 1, j - 1) in b_entries:
-                raise PatternFormatError(f"duplicate B entry ({i},{j})", lineno)
-            b_entries.add((i - 1, j - 1))
+            seen, cols = b_entries, m
+        if not (1 <= i <= n and 1 <= j <= cols):
+            raise PatternFormatError(f"{kind.upper()} entry ({i},{j}) out of range for n={n}" + (f", m={m}" if kind == "b" else ""), lineno)
+        if (i - 1, j - 1) in seen:
+            raise PatternFormatError(f"duplicate {kind.upper()} entry ({i},{j})", lineno)
+        seen.add((i - 1, j - 1))
     return _record(StateSpacePattern, n, m, frozenset(a_entries), frozenset(b_entries))
 
 
@@ -224,8 +227,7 @@ def emit_pattern(pattern: PolyPattern) -> str:
     """
     _check_vertices(f"{pattern.rows}x{pattern.cols} pattern", pattern.rows + pattern.cols)
     out = [f"pattern {pattern.rows} {pattern.cols}"]
-    for i, j, d in pattern.entries:
-        out.append(f"entry {i + 1} {j + 1} {d}")
+    out += [f"entry {i + 1} {j + 1} {d}" for i, j, d in pattern.entries]
     return "\n".join(out) + "\n"
 
 
@@ -233,8 +235,6 @@ def emit_statespace(ss: StateSpacePattern) -> str:
     """Canonical text for a state-space pattern: header, sorted 'a' then 'b' lines; refused past MAX_VERTICES."""
     _check_vertices(f"pencil of n={ss.n}, m={ss.m}", 2 * ss.n + ss.m)
     out = [f"statespace {ss.n} {ss.m}"]
-    for i, j in sorted(ss.a_entries):
-        out.append(f"a {i + 1} {j + 1}")
-    for i, k in sorted(ss.b_entries):
-        out.append(f"b {i + 1} {k + 1}")
+    for kind, entries in (("a", ss.a_entries), ("b", ss.b_entries)):
+        out += [f"{kind} {i + 1} {j + 1}" for i, j in sorted(entries)]
     return "\n".join(out) + "\n"

@@ -68,7 +68,8 @@ def wide_2x3() -> PolyPattern:
     """2x3 pattern, zero only at (0,0); degrees 1,0 / 2,0,1.
 
     Its graph has term rank 2 and exactly four row-saturating matchings,
-    none of its five edges redundant.
+    none of its five edges redundant.  It is not ``fixtures/wide_2x3.txt``:
+    the file has the same five positions, but degree 1 at (0,2) and (1,1).
     """
     return PolyPattern(2, 3, {(0, 1): 1, (0, 2): 0, (1, 0): 2, (1, 1): 0, (1, 2): 1})
 

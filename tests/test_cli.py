@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from structctrl import PolyPattern, cli, decision, emit_pattern, emit_statespace, oracle, parse_pattern, parse_statespace, patterns, statespace
 from structctrl.cli import _build_parser, main
 
+from test_patterns import decorated
 from test_patterns import patterns as small_patterns
 from test_patterns import statespaces
 
@@ -318,6 +319,21 @@ class TestOracle:
         assert code == 2
         assert "statespace" in err
 
+    def test_strict_mode_reports_a_parse_error_first(self, tmp_path, capsys):
+        f = tmp_path / "bad.txt"
+        f.write_text("# two rows\npattern 2 2\nentry 5 5 0\n")
+        code, out, err = run(capsys, "oracle", "--mode", "statespace_strict", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: entry (5,5) out of range for 2x2 pattern\n"
+
+    def test_strict_builds_no_pencil(self, capsys, monkeypatch):
+        def no_pencil(ss):
+            raise AssertionError("statespace_strict read a pencil")
+
+        monkeypatch.setattr(cli, "controllability_pencil", no_pencil)
+        code, out, _ = run(capsys, "oracle", "--mode", "statespace_strict", str(FIXTURES / "ss_shared_drive.txt"))
+        assert (code, out) == (1, self.GOLDEN[("ss_shared_drive.txt", "statespace_strict", 1)])
+
     def test_seed_list(self, capsys):
         _, out, _ = run(capsys, "oracle", "--seeds", "7,9", str(FIXTURES / "wide_2x3.txt"))
         assert "seed 7:" in out and "seed 9:" in out
@@ -433,6 +449,20 @@ class TestOracle:
     def test_golden_json(self, capsys, fixture, mode):
         code, out, _ = run(capsys, "oracle", "--json", "--mode", mode, str(FIXTURES / fixture))
         assert (code, out) == self.GOLDEN_JSON[(fixture, mode)]
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark in front of a fixture changes no command's output, read from a file or from stdin."""
+
+    @pytest.mark.parametrize("command", ["analyze", "statespace", "oracle"])
+    @pytest.mark.parametrize("fixture", sorted(path.name for path in FIXTURES.glob("*.txt")))
+    def test_same_output_as_the_plain_fixture(self, tmp_path, capsys, monkeypatch, command, fixture):
+        marked = tmp_path / fixture
+        marked.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / fixture).read_bytes())
+        expected = run(capsys, command, str(FIXTURES / fixture))
+        assert run(capsys, command, str(marked)) == expected
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(marked.read_bytes()), encoding="utf-8"))
+        assert run(capsys, command, "-") == expected
 
 
 class TestGen:
@@ -775,3 +805,10 @@ def test_statespace_json_is_the_reference_dict_and_extra_keys_byte_for_byte(ss):
     out = _json_output("statespace", emit_statespace(ss))
     extra = {key: json.loads(out)[key] for key in ("state_connectivity", "cross_check_disagreement")}
     assert out == json.dumps(reference_report_json(statespace.analyze_statespace(ss).base) | extra) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), small_patterns().filter(lambda p: p.entries), statespaces())
+def test_oracle_reads_the_header_as_the_parsers_do(data, pattern, ss):
+    for text in (emit_pattern(pattern), emit_statespace(ss)):
+        assert _json_output("oracle", data.draw(decorated(text))[0]) == _json_output("oracle", text)

@@ -5,6 +5,7 @@ import dataclasses
 import pickle
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,9 @@ from structctrl import (
 )
 from structctrl.patterns import MAX_VERTICES
 
-from fixture_patterns import wide_2x3
+from fixture_patterns import chain_ss, relay_ss, shared_drive_ss, wide_2x3
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestParsePattern:
@@ -179,6 +182,40 @@ class TestParseStatespace:
         assert parse_statespace("statespace 2 999996\nb 1 1\n").m == 999_996
         with pytest.raises(PatternFormatError, match="line 1: pencil of n=2, m=999997 has 1000001 vertices"):
             parse_statespace("statespace 2 999997\nb 1 1\n")
+
+
+class TestByteOrderMark:
+    """One U+FEFF at the very start of the text is dropped; anywhere else it is an ordinary character."""
+
+    def test_both_parsers_accept_a_leading_mark(self):
+        assert parse_pattern("\ufeff" + emit_pattern(wide_2x3())) == wide_2x3()
+        assert parse_statespace("\ufeff# comment\n" + emit_statespace(chain_ss())) == chain_ss()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\ufeff\ufeffpattern 1 1\nentry 1 1 0\n", "line 1: expected header 'pattern <p> <v>'"),
+            ("\n\ufeffpattern 1 1\nentry 1 1 0\n", "line 2: expected header 'pattern <p> <v>'"),
+            ("pattern 1 1\n\ufeffentry 1 1 0\n", "line 2: expected 'entry <i> <j> <degree>'"),
+            ("\ufeff", "empty input, expected 'pattern <p> <v>' header"),
+        ],
+    )
+    def test_a_mark_past_the_first_character_is_content(self, text, message):
+        with pytest.raises(PatternFormatError) as exc:
+            parse_pattern(text)
+        assert str(exc.value) == message
+
+
+def test_fixture_builders_match_their_files():
+    """Each state-space builder is its namesake file; ``wide_2x3()`` has the file's positions, two of them with degree 0 for 1."""
+    builders = {"ss_shared_drive.txt": shared_drive_ss, "ss_relay.txt": relay_ss, "ss_chain.txt": chain_ss}
+    assert {path.name for path in FIXTURES.glob("ss_*.txt")} == set(builders)
+    for name, build in builders.items():
+        assert parse_statespace((FIXTURES / name).read_text(encoding="utf-8")) == build(), name
+    built, read = wide_2x3(), parse_pattern((FIXTURES / "wide_2x3.txt").read_text(encoding="utf-8"))
+    assert (built.rows, built.cols) == (read.rows, read.cols)
+    assert [e[:2] for e in built.entries] == [e[:2] for e in read.entries]
+    assert {e[:2]: (e[2], f[2]) for e, f in zip(built.entries, read.entries) if e != f} == {(0, 2): (0, 1), (1, 1): (0, 1)}
 
 
 class TestEmit:
