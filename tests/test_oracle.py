@@ -26,7 +26,7 @@ from structctrl import (
     zero_set_gcd_degrees,
 )
 
-from structctrl import oracle
+from structctrl import cli, oracle
 
 from fixture_patterns import (
     ExactPoly,
@@ -287,6 +287,20 @@ class TestInstantiate:
         assert again == m and again.entries == tuple(sorted(shuffled))
         assert minor_gcd(again, 3) == minor_gcd(m, 3)
         assert minor_gcd(ExactMatrix(3, 4, m.entries[::-1]), 2) == minor_gcd(m, 2)
+
+
+def stdlib_nonzero_ints(seed: int, bound: int, count: int) -> list[int]:
+    """Reference draws: the stdlib formula that oracle._nonzero_ints reproduces from getrandbits alone."""
+    rng = random.Random(seed)
+    return [rng.choice((1, -1)) * rng.randint(1, bound) for _ in range(count)]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 99, 1024, 2**61])
+def test_draws_follow_the_stdlib_formula(bound):
+    # the same stream as choice((1, -1)) * randint(1, bound): a change to either rejection loop shifts every later draw
+    for seed in range(50):
+        draw = oracle._nonzero_ints(seed, bound)
+        assert [draw() for _ in range(20)] == stdlib_nonzero_ints(seed, bound, 20)
 
 
 # Where the coefficient bound enters, it is an int >= 1; bool is not taken as 1.
@@ -592,6 +606,78 @@ def test_one_expansion_per_call(monkeypatch):
     assert len(plans) == 2 and plans[1] is not plans[0]
     assert len(states) == 2 * one_seed
     assert seen == [plans[0]] + [plans[1]] * 5
+
+
+def perfect_matching_exists(cells, rows, cols) -> bool:
+    """Reference: can every row of ``rows`` be matched to its own column of ``cols`` through ``cells``?  Kuhn's augmenting paths."""
+    mate: dict[int, int] = {}
+
+    def augment(r, seen) -> bool:
+        for c in cols:
+            if (r, c) in cells and c not in seen:
+                seen.add(c)
+                if c not in mate or augment(mate[c], seen):
+                    mate[c] = r
+                    return True
+        return False
+
+    return all(augment(r, set()) for r in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 9), st.data())
+def test_plan_yields_exactly_the_minors_with_a_perfect_matching(rows, cols, data):
+    kept = data.draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    cells = {divmod(k, cols) for k, keep in enumerate(kept) if keep}
+    size = data.draw(st.integers(1, min(rows, cols)))
+    plan = oracle._Plan(rows, cols, [(i, j, 0) for i, j in sorted(cells)], size)
+    # the plan expands a tall matrix as its transpose
+    n_rows, n_cols, arcs = (rows, cols, cells) if rows <= cols else (cols, rows, {(j, i) for i, j in cells})
+    want = [
+        (sum(1 << i for i in r), sum(1 << j for j in c))
+        for r in combinations(range(n_rows), size)
+        for c in combinations(range(n_cols), size)
+        if perfect_matching_exists(arcs, r, c)
+    ]
+    states = list(plan)
+    masks = {state: (key >> plan.shift, key & (1 << plan.shift) - 1) for key, state in plan.index.items() if state > 1}
+    assert [masks[state] for state in states] == want
+    assert list(plan) == states  # a second pass replays the minors found
+
+
+# The rank-5 6x9 oracle-crosscheck pattern small-6x9-99: its 13 (row, column, degree) entries, 1-based as in its file.
+SMALL_6X9_99_ENTRIES = [
+    (1, 1, 1), (1, 4, 1), (1, 8, 0), (2, 7, 1), (3, 5, 1), (3, 8, 1), (4, 2, 0),
+    (4, 5, 0), (4, 6, 1), (5, 7, 1), (6, 1, 1), (6, 3, 0), (6, 4, 0),
+]
+SMALL_6X9_99 = PolyPattern(6, 9, {(i - 1, j - 1): d for i, j, d in SMALL_6X9_99_ENTRIES})
+
+
+# Work-counter ceilings: the plan's index size on fixed inputs.  A scan or a
+# recursion that plans minors with a row or a column that meets none of the
+# other side grows the index past them (1,325, 18,494 and 19,801 states when
+# every minor the scan meets is planned), on any machine.
+@pytest.mark.parametrize(
+    "pattern, degrees, ceiling",
+    [
+        pytest.param(SMALL_6X9_99, [0] * 5, 305, id="small-6x9-99"),
+        pytest.param(cli._random_pattern(16, 18, 48, 2, 0), [15] * 5, 2683, id="random-16x18-seed0"),
+        pytest.param(cli._random_pattern(16, 18, 48, 2, 3), [6] * 5, 2069, id="random-16x18-seed3"),
+    ],
+)
+def test_plan_index_ceiling(monkeypatch, pattern, degrees, ceiling):
+    plans = []
+
+    class RecordingPlan(oracle._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(oracle, "_Plan", RecordingPlan)
+    monkeypatch.setattr(oracle, "ZERO_SET_MAX_DIM", 16)
+    assert zero_set_gcd_degrees(pattern, SEEDS) == degrees
+    (plan,) = plans
+    assert len(plan.index) <= ceiling
 
 
 class TestKalman:
