@@ -46,9 +46,8 @@ DEFAULT_SEEDS = "0,1,2,3,4"
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """The text of a file, or of stdin for ``-``: its bytes decoded as strict UTF-8, whatever the stream's encoding."""
+    return (sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()).decode("utf-8")
 
 
 def _report_json(report: AnalysisReport, extra: dict) -> str:

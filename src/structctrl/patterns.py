@@ -13,6 +13,10 @@ later in a line is an ordinary token, so it makes a wrong token count):
     entry <i> <j> <degree>   a <i> <j>
     ...                      b <i> <k>
 
+Index and degree tokens are read by ``int()`` (a sign, '_' between digits
+and Unicode decimal digits pass), and positions compare by value, so
+``entry 01 1 0`` repeats ``entry 1 1 0``.
+
 A header may ask for at most MAX_VERTICES graph vertices: p + v for a
 pattern, 2n + m for the pencil [sI - A  B] of a statespace file.  The
 emitters refuse what the parsers would, so every emitted text parses back.
@@ -167,24 +171,40 @@ def parse_pattern(text: str) -> PolyPattern:
         raise PatternFormatError(f"dimensions must be positive, got {rows} {cols}", header)
     _check_vertices(f"{rows}x{cols} pattern", rows + cols, header)
 
-    entries: dict[tuple[int, int], int] = {}
+    ints: dict[str, int] = {}
+    get = ints.get
+    seen: set[int] = set()
+    width = cols + 1
+    triples: list[tuple[int, int, int]] = []
     for lineno, tokens in lines:
         if tokens[0] != "entry" or len(tokens) != 4:
             raise PatternFormatError("expected 'entry <i> <j> <degree>'", lineno)
-        try:
-            i, j, d = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        _, ti, tj, td = tokens
+        try:  # a token met before is looked up, not converted again
+            i = get(ti)
+            if i is None:
+                i = ints[ti] = int(ti)
+            j = get(tj)
+            if j is None:
+                j = ints[tj] = int(tj)
+            d = get(td)
+            if d is None:
+                d = ints[td] = int(td)
         except ValueError:  # name the first bad token, as parsing one at a time would
-            i = _parse_int(tokens[1], "row index", lineno)
-            j = _parse_int(tokens[2], "column index", lineno)
-            d = _parse_int(tokens[3], "degree", lineno)
+            i = _parse_int(ti, "row index", lineno)
+            j = _parse_int(tj, "column index", lineno)
+            d = _parse_int(td, "degree", lineno)
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise PatternFormatError(f"entry ({i},{j}) out of range for {rows}x{cols} pattern", lineno)
         if d < 0:
             raise PatternFormatError(f"negative degree {d}", lineno)
-        if (i - 1, j - 1) in entries:
+        key = i * width + j  # distinct positions get distinct keys, as 1 <= j < width
+        if key in seen:
             raise PatternFormatError(f"duplicate entry ({i},{j})", lineno)
-        entries[(i - 1, j - 1)] = d
-    return _record(PolyPattern, rows, cols, tuple(sorted([(i, j, d) for (i, j), d in entries.items()])))
+        seen.add(key)
+        triples.append((i - 1, j - 1, d))
+    triples.sort()
+    return _record(PolyPattern, rows, cols, tuple(triples))
 
 
 def parse_statespace(text: str) -> StateSpacePattern:
@@ -198,24 +218,33 @@ def parse_statespace(text: str) -> StateSpacePattern:
 
     a_entries: set[tuple[int, int]] = set()
     b_entries: set[tuple[int, int]] = set()
+    ints: dict[str, int] = {}
+    get = ints.get
     for lineno, tokens in lines:
         kind = tokens[0]
         if len(tokens) != 3 or kind not in ("a", "b"):
             raise PatternFormatError("expected 'a <i> <j>' or 'b <i> <k>'", lineno)
-        try:
-            i, j = int(tokens[1]), int(tokens[2])
+        _, ti, tj = tokens
+        try:  # a token met before is looked up, not converted again
+            i = get(ti)
+            if i is None:
+                i = ints[ti] = int(ti)
+            j = get(tj)
+            if j is None:
+                j = ints[tj] = int(tj)
         except ValueError:  # name the first bad token, as parsing one at a time would
-            i = _parse_int(tokens[1], "row index", lineno)
-            j = _parse_int(tokens[2], "column index" if kind == "a" else "input index", lineno)
+            i = _parse_int(ti, "row index", lineno)
+            j = _parse_int(tj, "column index" if kind == "a" else "input index", lineno)
         if kind == "a":
             seen, cols = a_entries, n
         else:
             seen, cols = b_entries, m
         if not (1 <= i <= n and 1 <= j <= cols):
             raise PatternFormatError(f"{kind.upper()} entry ({i},{j}) out of range for n={n}" + (f", m={m}" if kind == "b" else ""), lineno)
-        if (i - 1, j - 1) in seen:
+        position = (i - 1, j - 1)
+        if position in seen:
             raise PatternFormatError(f"duplicate {kind.upper()} entry ({i},{j})", lineno)
-        seen.add((i - 1, j - 1))
+        seen.add(position)
     return _record(StateSpacePattern, n, m, frozenset(a_entries), frozenset(b_entries))
 
 

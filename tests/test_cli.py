@@ -3,9 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import random
 import runpy
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -107,7 +109,7 @@ class TestAnalyze:
     def test_reads_stdin(self, capsys, monkeypatch):
         import io
 
-        monkeypatch.setattr("sys.stdin", io.StringIO("pattern 1 1\nentry 1 1 0\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"pattern 1 1\nentry 1 1 0\n"), encoding="utf-8"))
         code, out, _ = run(capsys, "analyze", "-")
         assert code == 0
         assert out.splitlines()[0] == "structurally controllable"
@@ -465,6 +467,30 @@ class TestByteOrderMark:
         assert run(capsys, command, "-") == expected
 
 
+class TestStdinEncoding:
+    """Stdin is decoded as strict UTF-8, as a file is, whatever encoding the interpreter gives the stream."""
+
+    def cli(self, tmp_path, data: bytes, *, stdin: bool):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "latin-1"}
+        argv = [sys.executable, "-m", "structctrl.cli", "analyze", "-" if stdin else str(path), "--quiet"]
+        proc = subprocess.run(argv, input=data if stdin else None, capture_output=True, env=env, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b"\xef\xbb\xbfpattern 1 1\nentry 1 1 0\n", (0, b"structurally controllable\n", b"")),
+            (b"pattern 1 1\nentry 1 1 \xff\n", (2, b"", b"error: 'utf-8' codec can't decode byte 0xff in position 22: invalid start byte\n")),
+        ],
+    )
+    def test_stdin_reads_as_the_file_does(self, tmp_path, data, expected):
+        assert self.cli(tmp_path, data, stdin=False) == expected
+        assert self.cli(tmp_path, data, stdin=True) == expected
+
+
 class TestGen:
     def test_canonical(self, capsys):
         code, out, _ = run(capsys, "gen", "canonical", "--n", "3")
@@ -771,7 +797,7 @@ def reference_report_json(report: decision.AnalysisReport) -> dict:
 
 def _json_output(command: str, text: str) -> str:
     out, stdin = io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(text)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out):
             assert main([command, "--json", "-"]) in (0, 1)

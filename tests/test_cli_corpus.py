@@ -171,7 +171,7 @@ def digest(command: str) -> str:
 def _run(argv: list[str], text: str = "") -> bytes:
     """Exit code, stdout and stderr of ``main(argv)`` with ``text`` on stdin."""
     out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(text)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

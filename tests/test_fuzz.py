@@ -10,6 +10,7 @@ MAX_VERTICES: a header just under the guard is admitted and costs seconds.
 
 import contextlib
 import io
+import re
 import sys
 
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from structctrl.cli import main
 from structctrl.errors import PatternFormatError
 from structctrl.patterns import MAX_VERTICES, PolyPattern, StateSpacePattern, parse_pattern, parse_statespace
+
+import reference_parsers
 
 KEYWORDS = ("pattern", "statespace", "entry", "a", "b", "A", "#", "#entry", "\x00")
 SEPARATORS = (" ", "  ", "\t", "\x0c", "\x85", "\x00")
@@ -74,7 +77,7 @@ def texts(draw) -> str:
 
 def _exit_code(argv: list[str], text: str) -> int:
     out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(text)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             return main(argv)
@@ -92,3 +95,20 @@ def test_arbitrary_text_parses_or_is_refused(text):
             pass
     for command in COMMANDS:
         assert _exit_code([*command, "-"], text) in (0, 1, 2)
+
+
+RESPELLINGS = (str, "0{}".format, "+{}".format, lambda t: t.translate(ARABIC_INDIC))
+ASCII_INTEGER = re.compile(r"(?<!\S)[0-9]+(?!\S)")
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts(), st.data())
+def test_parsers_match_the_reference_loops(text, data):
+    """Each parser returns the record the reference loop returns, or refuses with its message and line number.
+
+    The text is checked as drawn and with some integer tokens spelled another way, which makes
+    lines that name one position in two spellings.
+    """
+    respelled = ASCII_INTEGER.sub(lambda token: data.draw(st.sampled_from(RESPELLINGS))(token[0]), text)
+    for got, want in reference_parsers.outcomes(text) + reference_parsers.outcomes(respelled):
+        assert got == want

@@ -26,6 +26,7 @@ from structctrl import (
 )
 from structctrl.patterns import MAX_VERTICES
 
+import reference_parsers
 from fixture_patterns import chain_ss, relay_ss, shared_drive_ss, wide_2x3
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -204,6 +205,12 @@ class TestByteOrderMark:
         with pytest.raises(PatternFormatError) as exc:
             parse_pattern(text)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", reference_parsers.SPELLINGS)
+def test_positions_compare_by_value_as_in_the_reference_loops(text, message):
+    """A position spelled two ways (``1`` and ``01``, ``١`` and ``+1``) is refused the second time, as the reference loops refuse it."""
+    assert reference_parsers.mismatches(text, message) == []
 
 
 def test_fixture_builders_match_their_files():
