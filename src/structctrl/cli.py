@@ -4,7 +4,10 @@ Exit status contract: 0 = structurally controllable (or zero set empty),
 1 = structurally uncontrollable (or zero set nonempty), 2 = input error,
 guard violation, or bad usage.  The first output line of the verdict
 commands is exactly "structurally controllable" or "structurally
-uncontrollable" so shell pipelines can branch on it.
+uncontrollable" so shell pipelines can branch on it.  A reader that
+closes stdout early, such as ``head -1``, changes no exit status and
+adds nothing to stderr: the verdict commands keep their verdict's
+status, and gen and bench exit 0.
 
 All report indices are printed 1-based, matching the file formats.
 """
@@ -15,9 +18,11 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import random
 import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import patterns
@@ -50,49 +55,69 @@ def _read_text(path: str) -> str:
     return (sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()).decode("utf-8")
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout and flush it; once the reader has closed the pipe, the rest goes nowhere.
+
+    A reader such as ``head -1`` may close stdout before the report is
+    written.  The command still returns its own exit status: stdout is
+    pointed at ``os.devnull``, as the SIGPIPE note of the ``signal`` docs
+    does, so neither this write nor the flush at exit reports the closed pipe.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+# The component writers spell a side with one vertex, as each diagonal mode of a pencil has, or with none,
+# as an isolated row or column has, without a join: most reports hold about one such component per vertex.
+
+
 def _report_json(report: AnalysisReport, extra: dict) -> str:
-    """``json.dumps`` of the report's dict, ``extra`` keys last; the components, up to one per vertex, are written as text."""
+    """``json.dumps`` of the report's dict, ``extra`` keys last, and a newline; the components, up to one per vertex, are written as text."""
     redundant = [[r + 1, c + 1] for r, c in report.redundant_edges]
     head = json.dumps({"verdict": report.verdict, "minimal": report.minimal, "term_rank": report.term_rank, "redundant_edges": redundant})
     w = report.witness
     witness = None if w is None else {"component": w.component, "edge": [w.edge[0] + 1, w.edge[1] + 1], "weight": w.weight}
     components = ", ".join(
         [
-            '{"rows": [%s], "cols": [%s], "max_weight": %d}'
-            % (", ".join([str(r + 1) for r in rs]), ", ".join([str(c + 1) for c in cs]), mw)
+            f'{{"rows": [{rs[0] + 1 if len(rs) == 1 else ", ".join([str(r + 1) for r in rs]) if rs else ""}], '
+            f'"cols": [{cs[0] + 1 if len(cs) == 1 else ", ".join([str(c + 1) for c in cs]) if cs else ""}], "max_weight": {mw}}}'
             for rs, cs, mw in report.components
         ]
     )
-    return f'{head[:-1]}, "components": [{components}], {json.dumps({"witness": witness} | extra)[1:]}'
+    return f'{head[:-1]}, "components": [{components}], {json.dumps({"witness": witness} | extra)[1:]}\n'
 
 
-def _print_report(report: AnalysisReport, quiet: bool):
-    print(report.verdict)
+def _report_text(report: AnalysisReport, quiet: bool, tail: Sequence[str]) -> str:
+    """The text report, with the lines ``tail`` after it unless ``quiet``, which keeps the verdict line alone."""
     if quiet:
-        return
-    print(f"term rank: {report.term_rank}")
-    print(f"minimal: {'yes' if report.minimal else 'no'}")
-    if report.redundant_edges:
-        listed = " ".join(f"({r + 1},{c + 1})" for r, c in report.redundant_edges)
-        print(f"redundant edges: {listed}")
-    else:
-        print("redundant edges: none")
-    print(f"components: {len(report.components)}")
-    for idx, comp in enumerate(report.components):
-        rows = " ".join(str(r + 1) for r in comp.rows)
-        cols = " ".join(str(c + 1) for c in comp.cols)
-        print(f"  component {idx}: rows [{rows}] cols [{cols}] max weight {comp.max_weight}")
+        return report.verdict + "\n"
+    lines = [
+        report.verdict,
+        f"term rank: {report.term_rank}",
+        f"minimal: {'yes' if report.minimal else 'no'}",
+        f"redundant edges: {' '.join([f'({r + 1},{c + 1})' for r, c in report.redundant_edges]) or 'none'}",
+        f"components: {len(report.components)}",
+    ]
+    lines += [
+        f"  component {idx}: rows [{rs[0] + 1 if len(rs) == 1 else ' '.join([str(r + 1) for r in rs]) if rs else ''}] "
+        f"cols [{cs[0] + 1 if len(cs) == 1 else ' '.join([str(c + 1) for c in cs]) if cs else ''}] max weight {mw}"
+        for idx, (rs, cs, mw) in enumerate(report.components)
+    ]
     if report.witness is not None:
         w = report.witness
-        print(f"witness: component {w.component}, edge ({w.edge[0] + 1},{w.edge[1] + 1}), weight {w.weight}")
+        lines.append(f"witness: component {w.component}, edge ({w.edge[0] + 1},{w.edge[1] + 1}), weight {w.weight}")
+    lines += [*tail, ""]
+    return "\n".join(lines)
 
 
-def _print_verdict(report: AnalysisReport, args, **extra) -> int:
-    """Print ``report`` as JSON, ``extra`` keys last, or as text; return the exit status of its verdict."""
-    if args.json:
-        print(_report_json(report, extra))
-    else:
-        _print_report(report, args.quiet)
+def _print_verdict(report: AnalysisReport, args, tail: Sequence[str] = (), **extra) -> int:
+    """Write ``report`` as JSON, ``extra`` keys last, or as text, ``tail`` lines last; return the exit status of its verdict."""
+    _write(_report_json(report, extra) if args.json else _report_text(report, args.quiet, tail))
     return 0 if report.controllable else 1
 
 
@@ -116,34 +141,34 @@ def cmd_statespace(args) -> int:
         if cross.get("kalman_rank_full", rep.controllable) == cross.get("zero_set_empty_generic", rep.controllable) == rep.controllable:
             cross = None  # checks agree, or none ran; nothing to flag
 
-    status = _print_verdict(rep.base, args, state_connectivity=list(rep.state_connectivity), cross_check_disagreement=cross)
+    tail = []
     if not (args.json or args.quiet):
-        for i, ok in enumerate(rep.state_connectivity):
-            print(f"state {i + 1}: {'connected' if ok else 'NOT connected'}")
+        tail = [f"state {i + 1}: {'connected' if ok else 'NOT connected'}" for i, ok in enumerate(rep.state_connectivity)]
         if cross is not None:
-            _print_cross_check_note(cross, any((i, i) not in ss.a_entries for i in range(ss.n)), rep.controllable)
-    return status
+            tail += _cross_check_note(cross, any((i, i) not in ss.a_entries for i in range(ss.n)), rep.controllable)
+    return _print_verdict(rep.base, args, tail, state_connectivity=list(rep.state_connectivity), cross_check_disagreement=cross)
 
 
-def _print_cross_check_note(cross: dict, zero_diagonal: bool, controllable: bool):
-    """The disagreement, explained by the two diagonal conventions where they can explain it.
+def _cross_check_note(cross: dict, zero_diagonal: bool, controllable: bool) -> list[str]:
+    """The lines of the disagreement, explained by the two diagonal conventions where they can explain it.
 
     The conventions differ only where A has a zero diagonal entry, and the
     generic zero set follows the structural model itself; without such an
     entry, or when the generic zero set disagrees, no convention explains it.
     """
-    print("note: fixed-coefficient cross-checks disagree with the structural verdict.")
+    lines = ["note: fixed-coefficient cross-checks disagree with the structural verdict."]
     rank = "full" if cross["kalman_rank_full"] else "deficient"
-    print(f"  controllability-matrix rank over random integer instances: {rank}")
+    lines.append(f"  controllability-matrix rank over random integer instances: {rank}")
     if "zero_set_empty_generic" in cross:
-        print(f"  zero set empty, generic coefficients: {'yes' if cross['zero_set_empty_generic'] else 'no'}")
-    print(f"  zero set empty, forced-monomial diagonal: {'yes' if cross['zero_set_empty_strict'] else 'no'}")
+        lines.append(f"  zero set empty, generic coefficients: {'yes' if cross['zero_set_empty_generic'] else 'no'}")
+    lines.append(f"  zero set empty, forced-monomial diagonal: {'yes' if cross['zero_set_empty_strict'] else 'no'}")
     if not zero_diagonal or cross.get("zero_set_empty_generic", controllable) != controllable:
-        print("  no modeling convention explains this disagreement; it points at a fault in the oracle or the analysis.")
-        return
-    print("  the structural model treats every diagonal derivative term as an arbitrary")
-    print("  degree-1 polynomial; with zero diagonal entries in the state matrix the true")
-    print("  pencil can lose rank at s = 0. see README, 'When the two conventions disagree'.")
+        lines.append("  no modeling convention explains this disagreement; it points at a fault in the oracle or the analysis.")
+        return lines
+    lines.append("  the structural model treats every diagonal derivative term as an arbitrary")
+    lines.append("  degree-1 polynomial; with zero diagonal entries in the state matrix the true")
+    lines.append("  pencil can lose rank at s = 0. see README, 'When the two conventions disagree'.")
+    return lines
 
 
 def cmd_oracle(args) -> int:
@@ -159,15 +184,13 @@ def cmd_oracle(args) -> int:
         degrees = kalman_deficiencies(ss, args.seeds, args.coeff_range)
     empty = any(d == 0 for d in degrees)
     if args.json:
-        print(json.dumps({"mode": args.mode, "seed_gcd_degrees": degrees, "zero_set_empty": empty}))
+        _write(json.dumps({"mode": args.mode, "seed_gcd_degrees": degrees, "zero_set_empty": empty}) + "\n")
     else:
+        lines = []
         if not args.quiet:
-            for seed, d in zip(args.seeds, degrees):
-                if d < 0:
-                    print(f"seed {seed}: all maximal minors zero")
-                else:
-                    print(f"seed {seed}: gcd degree {d}")
-        print(f"zero set generically empty: {'yes' if empty else 'no'}")
+            lines = [f"seed {seed}: all maximal minors zero" if d < 0 else f"seed {seed}: gcd degree {d}" for seed, d in zip(args.seeds, degrees)]
+        lines.append(f"zero set generically empty: {'yes' if empty else 'no'}")
+        _write("\n".join(lines) + "\n")
     return 0 if empty else 1
 
 
@@ -191,17 +214,17 @@ def cmd_gen(args) -> int:
             raise ValueError(f"gen {kind} requires --n")
         patterns._check_vertices(f"pencil of n={args.n}, m=1", 2 * args.n + 1)  # before the system is built
         ss = controller_canonical(args.n) if kind == "canonical" else gilbert_form(args.n)
-        sys.stdout.write(emit_statespace(ss))
+        _write(emit_statespace(ss))
     elif kind in INTERCONNECTION_KINDS:
         if args.n1 is None or args.n2 is None:
             raise ValueError(f"gen {kind} requires --n1 and --n2")
-        sys.stdout.write(emit_pattern(siso_interconnection(kind, args.n1, args.n2)))
+        _write(emit_pattern(siso_interconnection(kind, args.n1, args.n2)))
     else:  # random, the last of argparse's choices
         if args.rows is None or args.cols is None or args.density_edges is None:
             raise ValueError("gen random requires --rows, --cols and --density-edges")
         patterns._check_vertices(f"{args.rows}x{args.cols} pattern", args.rows + args.cols)  # before it is sampled
         pattern = _random_pattern(args.rows, args.cols, args.density_edges, args.max_degree, args.seed)
-        sys.stdout.write(emit_pattern(pattern))
+        _write(emit_pattern(pattern))
     return 0
 
 
@@ -233,14 +256,14 @@ def cmd_bench(args) -> int:
             }
         )
     if args.json:
-        print(json.dumps(results))
+        _write(json.dumps(results) + "\n")
     else:
-        print("p\tv\tedges\treduce_s\ttotal_s\tverdict\tstatus")
-        for r in results:
-            print(
-                f"{r['p']}\t{r['v']}\t{r['edge_count']}\t{r['reduce_seconds']:.4f}\t{r['total_seconds']:.4f}"
-                f"\t{r['verdict']}\t{r['status']}"
-            )
+        lines = ["p\tv\tedges\treduce_s\ttotal_s\tverdict\tstatus"]
+        lines += [
+            f"{r['p']}\t{r['v']}\t{r['edge_count']}\t{r['reduce_seconds']:.4f}\t{r['total_seconds']:.4f}\t{r['verdict']}\t{r['status']}"
+            for r in results
+        ]
+        _write("\n".join(lines) + "\n")
     return 0
 
 

@@ -491,6 +491,59 @@ class TestStdinEncoding:
         assert self.cli(tmp_path, data, stdin=True) == expected
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early, as `head -1` does, changes no exit status and leaves stderr empty."""
+
+    @staticmethod
+    def cli(argv: list[str], limit: int) -> tuple[int, bytes, bytes]:
+        """Exit code, the first line read and stderr of ``structctrl argv`` run in a subprocess.
+
+        The reader takes at most ``limit`` bytes of the first line, as
+        ``head -c`` would, then closes stdout.  The subprocess gets the
+        default buffered stdout: under PYTHONUNBUFFERED a write that the
+        closed pipe cuts short returns its partial count instead of failing.
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = [sys.executable, "-m", "structctrl.cli", *argv]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline(limit) if limit else b""
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=60), first, err
+
+    # Each report is over 150 kB, so the writer is still blocked on the full pipe when the reader closes it.
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "ss, verdict, code",
+        [
+            (statespace.gilbert_form(5000), decision.UNCONTROLLABLE, 1),
+            (statespace.controller_canonical(10000), decision.CONTROLLABLE, 0),
+        ],
+    )
+    def test_verdict_keeps_its_status_after_the_first_line(self, tmp_path, ss, verdict, code, json_flag):
+        path = tmp_path / "ss.txt"
+        path.write_text(emit_statespace(ss), encoding="utf-8")
+        first = f'{{"verdict": "{verdict}"' if json_flag else verdict + "\n"
+        assert self.cli(["statespace", str(path), *json_flag], len(first)) == (code, first.encode(), b"")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["statespace", str(FIXTURES / "ss_chain.txt")],
+            ["analyze", str(FIXTURES / "wide_2x3.txt"), "--json"],
+            ["oracle", str(FIXTURES / "ss_relay.txt")],
+            ["bench", "--sizes", "20"],
+        ],
+    )
+    def test_reader_that_closes_at_once(self, argv):
+        assert self.cli(argv, 0) == (0, b"", b"")
+
+    def test_gen_exits_0(self):
+        assert self.cli(["gen", "gilbert", "--n", "20000"], 100) == (0, b"statespace 20000 1\n", b"")
+
+
 class TestGen:
     def test_canonical(self, capsys):
         code, out, _ = run(capsys, "gen", "canonical", "--n", "3")
@@ -795,15 +848,52 @@ def reference_report_json(report: decision.AnalysisReport) -> dict:
     }
 
 
-def _json_output(command: str, text: str) -> str:
+def reference_print_report(report: decision.AnalysisReport, quiet: bool = False, state_connectivity=()):
+    """The text report printed one line at a time, then a ``state i`` line per state: the text writer must print exactly these lines."""
+    print(report.verdict)
+    if quiet:
+        return
+    print(f"term rank: {report.term_rank}")
+    print(f"minimal: {'yes' if report.minimal else 'no'}")
+    if report.redundant_edges:
+        listed = " ".join(f"({r + 1},{c + 1})" for r, c in report.redundant_edges)
+        print(f"redundant edges: {listed}")
+    else:
+        print("redundant edges: none")
+    print(f"components: {len(report.components)}")
+    for idx, comp in enumerate(report.components):
+        rows = " ".join(str(r + 1) for r in comp.rows)
+        cols = " ".join(str(c + 1) for c in comp.cols)
+        print(f"  component {idx}: rows [{rows}] cols [{cols}] max weight {comp.max_weight}")
+    if report.witness is not None:
+        w = report.witness
+        print(f"witness: component {w.component}, edge ({w.edge[0] + 1},{w.edge[1] + 1}), weight {w.weight}")
+    for i, ok in enumerate(state_connectivity):
+        print(f"state {i + 1}: {'connected' if ok else 'NOT connected'}")
+
+
+def _printed(*args, **kwargs) -> str:
+    """What ``reference_print_report`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        reference_print_report(*args, **kwargs)
+    return out.getvalue()
+
+
+def _stdout(argv: list[str], text: str) -> str:
+    """The stdout of ``main(argv)`` with ``text`` on stdin; the exit status must be a verdict's."""
     out, stdin = io.StringIO(), sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out):
-            assert main([command, "--json", "-"]) in (0, 1)
+            assert main(argv) in (0, 1)
     finally:
         sys.stdin = stdin
     return out.getvalue()
+
+
+def _json_output(command: str, text: str) -> str:
+    return _stdout([command, "--json", "-"], text)
 
 
 @st.composite
@@ -831,6 +921,27 @@ def test_statespace_json_is_the_reference_dict_and_extra_keys_byte_for_byte(ss):
     out = _json_output("statespace", emit_statespace(ss))
     extra = {key: json.loads(out)[key] for key in ("state_connectivity", "cross_check_disagreement")}
     assert out == json.dumps(reference_report_json(statespace.analyze_statespace(ss).base) | extra) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_patterns().filter(lambda p: p.entries) | sparse_headers(), st.booleans())
+@example(PolyPattern(6, 9, {(2, 4): 1}), False)
+@example(statespace.controllability_pencil(statespace.gilbert_form(50)), False)
+def test_analyze_text_is_the_reference_print_loop(pattern, quiet):
+    expected = _printed(decision.analyze(pattern), quiet)
+    assert _stdout(["analyze", *(["--quiet"] if quiet else []), "-"], emit_pattern(pattern)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(statespaces())
+@example(statespace.gilbert_form(50))
+@example(statespace.controller_canonical(4))
+def test_statespace_text_is_the_reference_print_loop(ss):
+    rep = statespace.analyze_statespace(ss)
+    expected = _printed(rep.base, state_connectivity=rep.state_connectivity)
+    out = _stdout(["statespace", "-"], emit_statespace(ss))
+    # a cross-check disagreement adds its note last; the golden strings pin its text
+    assert out == expected or out.startswith(expected + "note: fixed-coefficient cross-checks disagree")
 
 
 @settings(max_examples=100, deadline=None)

@@ -22,7 +22,13 @@ work: seeded patterns of the random-dae shapes (100x100 to 180x198, 3-6
 entries per row, degrees 0-2), tall ones, and rank-deficient ones whose
 first rows share a few columns.  Its digests are ``LARGE_PATTERN_DIGESTS``.
 
-A fourth pins ``gen``: canonical and gilbert systems and the three
+A fourth pins the writers where nearly every component has one vertex
+on a side, or none: ``statespace`` on ``gen gilbert --n 1500`` and
+``analyze`` on a 3000x3000 header with ten entries, whose isolated rows
+and columns have an empty ``cols`` or ``rows`` side.  Its digests are
+``SINGLETON_DIGESTS``.
+
+A fifth pins ``gen``: canonical and gilbert systems and the three
 interconnections at a few orders, and random patterns at several shapes,
 seeds and degree bounds.  Its one digest is ``GEN_DIGEST``.
 """
@@ -155,6 +161,30 @@ LARGE_PATTERN_DIGESTS = {
 }
 
 
+# (row, column, degree), 1-based, of the ten entries of the 3000x3000 header: 5,991 components, most of one vertex
+SPARSE_HEADER_ENTRIES = (
+    (1, 1, 0), (1, 2, 1), (2, 2, 0), (17, 3000, 2), (500, 500, 1),
+    (500, 501, 0), (1500, 1499, 0), (1500, 1500, 2), (2999, 7, 0), (3000, 7, 1),
+)
+
+
+def singleton_texts() -> dict[str, str]:
+    """The system and the pattern text of the singleton corpus, by command name."""
+    header = "pattern 3000 3000\n" + "".join(f"entry {i} {j} {d}\n" for i, j, d in SPARSE_HEADER_ENTRIES)
+    return {"statespace": emit_statespace(gilbert_form(1500)), "analyze": header}
+
+
+SINGLETON_COMMANDS = ("statespace", "statespace --json", "analyze", "analyze --json")
+
+# Recorded at f9ec93f, before the component writers spelled one-vertex and empty sides without a join.
+SINGLETON_DIGESTS = {
+    "statespace": "6441a893dfe9922161ac71edb91c9ddc4fe01c3fb384fea394c591ae7cf99427",
+    "statespace --json": "09d79b9f60d08a1b3f0e4a5b45211d8f162425169b68ad1a8f0658f6ed28d1fd",
+    "analyze": "ebaa762c9077ea544436fe75cdf67da58b18bfa88eeab418131459b9fe7e223e",
+    "analyze --json": "917f414dd36b1b2cb70f619404575e35eaea7a13615215f58b7852711168e60f",
+}
+
+
 # (rows, cols, entries) of the random gen patterns: empty, full, wide, tall and benchmark-size
 GEN_RANDOM_SHAPES = ((1, 1, 1), (2, 3, 0), (2, 3, 6), (5, 5, 7), (6, 9, 20), (30, 12, 80), (140, 154, 600))
 
@@ -227,6 +257,12 @@ def test_large_pattern_output_matches_recorded_digest(command):
     assert got == LARGE_PATTERN_DIGESTS[command], f"`structctrl {command}` output changed on the large pattern corpus"
 
 
+@pytest.mark.parametrize("command", SINGLETON_COMMANDS)
+def test_singleton_component_output_matches_recorded_digest(command):
+    got = run_digest(command, [singleton_texts()[command.split()[0]]])
+    assert got == SINGLETON_DIGESTS[command], f"`structctrl {command}` output changed on the singleton corpus"
+
+
 def test_gen_output_matches_recorded_digest():
     assert gen_digest() == GEN_DIGEST, "`structctrl gen` output changed on the gen corpus"
 
@@ -240,4 +276,7 @@ if __name__ == "__main__":
     texts = large_patterns()
     for command in LARGE_PATTERN_COMMANDS:
         print(f'    "{command}": "{run_digest(command, texts)}",  # large patterns')
+    texts = singleton_texts()
+    for command in SINGLETON_COMMANDS:
+        print(f'    "{command}": "{run_digest(command, [texts[command.split()[0]]])}",  # singleton')
     print(f'GEN_DIGEST = "{gen_digest()}"')
