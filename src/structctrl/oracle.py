@@ -423,13 +423,14 @@ def _kalman_ranks(ss: StateSpacePattern, seeds, coeff_bound) -> Iterator[int]:
     seeds = _seed_list(seeds)
     if ss.n > KALMAN_MAX_STATES:
         raise GuardLimitError(f"controllability-matrix test guarded at {KALMAN_MAX_STATES} states, got {ss.n}")
+    a_positions, b_positions = sorted(ss.a_entries), sorted(ss.b_entries)
     for seed in seeds:
         draw = _nonzero_ints(seed, coeff_bound)
         a_rows = [[] for _ in range(ss.n)]
-        for i, j in sorted(ss.a_entries):
+        for i, j in a_positions:
             a_rows[i].append((j, draw()))
         queue = [[0] * ss.n for _ in range(ss.m)]  # the columns of B
-        for i, k in sorted(ss.b_entries):
+        for i, k in b_positions:
             queue[k][i] = draw() % _PRIME
         basis = []  # (pivot, vector): 1 at its pivot, 0 at every earlier pivot
         for v in queue:  # the loop also visits the images appended below

@@ -9,9 +9,9 @@ reduction, and controllability becomes reachability: each state vertex
 must share a reduced-graph component with some input vertex.  With every
 row matched the reduction finds no H part; the input columns, never
 matched, seed V, so the states joined to an input make up the V
-components and every other state lies in a square block.  A component's
-columns are sorted and the inputs come last, so it holds an input exactly
-when its last column is one.
+components and every other state lies in a square block.  So state i is
+connected exactly when ``col_component[i]`` is an input column's label,
+that is, when an input reaches it in the digraph of A and B (Lin 1974).
 
 Note the modeling convention: the diagonal entry is treated as an
 arbitrary degree-1 polynomial even when A_ii = 0, where the true entry is
@@ -24,8 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decision import AnalysisReport, analyze
+from .bigraph import build_graph
+from .decision import AnalysisReport, analyze_reduction
 from .patterns import PolyPattern, StateSpacePattern, _record
+from .reduction import remove_redundant_edges
 
 __all__ = [
     "StateSpaceReport",
@@ -63,17 +65,13 @@ def controllability_pencil(ss: StateSpacePattern) -> PolyPattern:
 
 
 def analyze_statespace(ss: StateSpacePattern) -> StateSpaceReport:
-    """Analyze [sI - A  B] and tabulate which states reach an input vertex."""
+    """Analyze [sI - A  B] and tabulate which states share a component with an input column."""
     pencil = controllability_pencil(ss)
-    base = analyze(pencil)
-    # The components partition the columns, so one pass marks every state.
-    connected = [False] * ss.n
-    for comp in base.components:
-        if comp.cols[-1] >= ss.n:
-            for col in comp.cols:
-                if col < ss.n:
-                    connected[col] = True
-    return StateSpaceReport(base=base, state_connectivity=tuple(connected), pencil=pencil)
+    # The n diagonal entries keep the pencil from being the empty pattern that analyze refuses.
+    rg = remove_redundant_edges(build_graph(pencil))
+    inputs = set(rg.col_component[ss.n :])
+    connected = tuple([label in inputs for label in rg.col_component[: ss.n]])
+    return StateSpaceReport(base=analyze_reduction(rg), state_connectivity=connected, pencil=pencil)
 
 
 def controller_canonical(n: int) -> StateSpacePattern:

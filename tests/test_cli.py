@@ -262,7 +262,7 @@ class TestStatespace:
 
         for module in (statespace, cli):
             counting(module, "controllability_pencil")
-        for module in (decision, oracle, cli):
+        for module in (statespace, decision, oracle, cli):
             counting(module, "build_graph")
         code, _, _ = run(capsys, "statespace", "--json", str(FIXTURES / "ss_chain.txt"))
         assert code == 0

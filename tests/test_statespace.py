@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from structctrl import (
 )
 
 from fixture_patterns import chain_ss, integrator_ss, planted_statespace, random_statespace, relay_ss, shared_drive_ss
+from test_patterns import statespaces
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -121,6 +123,43 @@ class TestAnalyzeStatespace:
         for _ in range(120):
             rep = analyze_statespace(random_statespace(rng))
             assert rep.controllable == all(rep.state_connectivity)
+
+
+def input_reachable(ss: StateSpacePattern) -> tuple[bool, ...]:
+    """Per state: does a path from an input reach it in the digraph of (A, B)?
+
+    Breadth-first search from the m inputs over the arcs u_k -> x_i for each
+    B entry (i, k) and x_j -> x_i for each A entry (i, j).
+    """
+    succ: list[list[int]] = [[] for _ in range(ss.n + ss.m)]
+    for i, j in ss.a_entries:
+        succ[j].append(i)
+    for i, k in ss.b_entries:
+        succ[ss.n + k].append(i)
+    seen = [False] * ss.n + [True] * ss.m
+    queue = deque(range(ss.n, ss.n + ss.m))
+    while queue:
+        for w in succ[queue.popleft()]:
+            if not seen[w]:
+                seen[w] = True
+                queue.append(w)
+    return tuple(seen[: ss.n])
+
+
+@st.composite
+def planted_systems(draw):
+    """planted_statespace systems up to n = 120: a tree from the inputs and a block no input reaches."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(3, 120))
+    return planted_statespace(rng, n, draw(st.integers(1, 3)), draw(st.integers(1, n // 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(statespaces(), statespace_systems(), planted_systems()))
+def test_state_connectivity_is_input_reachability(ss):
+    """A state shares a reduced-pencil component with an input column exactly when an input reaches it
+    (m = 0, inputs with no B entry and self-loops come from ``statespaces``)."""
+    assert analyze_statespace(ss).state_connectivity == input_reachable(ss)
 
 
 class TestGenerators:
