@@ -5,7 +5,7 @@ row, one C-vertex per column, one edge per nonzero entry, weighted by the
 entry degree.  A weight of 0 is still an edge (constant entry); no edge means
 the entry is identically zero.
 
-A graph is a frozen record and all functions here are pure, so graphs are
+A graph is a named tuple and all functions here are pure, so graphs are
 safe to share across threads.  ``build_graph`` is its one builder: it reads
 the edges off a ``PolyPattern``, where they were checked once (by the pattern
 or the parser), and derives the adjacency from them, so no raw edge list is
@@ -16,7 +16,7 @@ returns the mates of each row and column as plain lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .patterns import PolyPattern
 
@@ -28,22 +28,22 @@ __all__ = [
 _UNMATCHED = -1
 
 
-@dataclass(frozen=True)
-class WeightedBigraph:
+class WeightedBigraph(NamedTuple):
     """Bipartite graph with non-negative integer edge weights.
 
     ``edges`` holds (row, column, weight) triples, unique per (row, column)
     pair, in range and sorted; ``r_adj[r]`` lists the columns of row r and
     ``c_adj[c]`` the rows of column c, both ascending.  Equality and hashing
-    read only the counts and the edges, so two graphs with the same edge set
-    compare equal, and every algorithm below is deterministic.
+    read all five fields; ``build_graph`` derives the adjacency from the
+    edges, so two graphs it builds compare equal exactly when their counts
+    and edges do.  Every algorithm below is deterministic.
     """
 
     r_count: int
     c_count: int
     edges: tuple[tuple[int, int, int], ...]
-    r_adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    c_adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    r_adj: tuple[tuple[int, ...], ...]
+    c_adj: tuple[tuple[int, ...], ...]
 
 
 def build_graph(pattern: PolyPattern) -> WeightedBigraph:

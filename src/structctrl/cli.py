@@ -17,13 +17,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import random
 import sys
 import time
 from collections.abc import Sequence
-from pathlib import Path
 
 from . import patterns
 from .bigraph import build_graph
@@ -52,7 +50,10 @@ DEFAULT_SEEDS = "0,1,2,3,4"
 
 def _read_text(path: str) -> str:
     """The text of a file, or of stdin for ``-``: its bytes decoded as strict UTF-8, whatever the stream's encoding."""
-    return (sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()).decode("utf-8")
+    if path == "-":
+        return sys.stdin.buffer.read().decode("utf-8")
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
 
 
 def _write(text: str) -> None:
@@ -78,6 +79,7 @@ def _write(text: str) -> None:
 
 def _report_json(report: AnalysisReport, extra: dict) -> str:
     """``json.dumps`` of the report's dict, ``extra`` keys last, and a newline; the components, up to one per vertex, are written as text."""
+    import json  # here and in the other JSON writers, so the text and --quiet paths never load it
     redundant = [[r + 1, c + 1] for r, c in report.redundant_edges]
     head = json.dumps({"verdict": report.verdict, "minimal": report.minimal, "term_rank": report.term_rank, "redundant_edges": redundant})
     w = report.witness
@@ -184,6 +186,7 @@ def cmd_oracle(args) -> int:
         degrees = kalman_deficiencies(ss, args.seeds, args.coeff_range)
     empty = any(d == 0 for d in degrees)
     if args.json:
+        import json
         _write(json.dumps({"mode": args.mode, "seed_gcd_degrees": degrees, "zero_set_empty": empty}) + "\n")
     else:
         lines = []
@@ -256,6 +259,7 @@ def cmd_bench(args) -> int:
             }
         )
     if args.json:
+        import json
         _write(json.dumps(results) + "\n")
     else:
         lines = ["p\tv\tedges\treduce_s\ttotal_s\tverdict\tstatus"]

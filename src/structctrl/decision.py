@@ -18,7 +18,7 @@ whose row carries the witness component's label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bigraph import build_graph, term_rank
 from .errors import ZeroTermRankError
@@ -40,8 +40,7 @@ CONTROLLABLE = "structurally controllable"
 UNCONTROLLABLE = "structurally uncontrollable"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Proof of uncontrollability: a square component and the first of its weighted edges in (row, column) order."""
 
     component: int  # index into AnalysisReport.components
@@ -49,8 +48,7 @@ class Witness:
     weight: int
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     verdict: str
     minimal: bool
     term_rank: int
@@ -87,9 +85,10 @@ def analyze_reduction(rg: ReducedGraph) -> AnalysisReport:
     comps = tuple(connected_components(rg))
 
     witness = None
+    row_component = rg.row_component
     for idx, comp in enumerate(comps):
         if comp.max_weight >= 1 and len(comp.rows) == len(comp.cols):
-            r, c, w = next(e for e in rg.edges if e[2] >= 1 and rg.row_component[e[0]] == idx)
+            r, c, w = next(e for e in rg.edges if e[2] >= 1 and row_component[e[0]] == idx)
             witness = Witness(component=idx, edge=(r, c), weight=w)
             break
 

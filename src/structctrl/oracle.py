@@ -39,12 +39,12 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bigraph import build_graph, term_rank
 from .errors import GuardLimitError, ZeroTermRankError
-from .patterns import PolyPattern, StateSpacePattern, _grid_entries, _record
+from .patterns import PolyPattern, StateSpacePattern, _Checked, _grid_entries, _record
 
 __all__ = [
     "ExactMatrix",
@@ -91,28 +91,31 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     return [c * inv % _PRIME for c in f]
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Sparse matrix of exact polynomials: the sorted, row-major ``(i, j, coeffs)`` triples of its nonzero entries.
-
-    Dimensions are positive ints, indices ints in range with no position twice, coefficients tuples of ints.
-    """
-
+class _ExactMatrixFields(NamedTuple):
     rows: int
     cols: int
     entries: tuple[tuple[int, int, tuple[int, ...]], ...]
 
-    def __post_init__(self):
-        rows, cols = self.rows, self.cols
+
+class ExactMatrix(_Checked, _ExactMatrixFields):
+    """Sparse matrix of exact polynomials: the sorted, row-major ``(i, j, coeffs)`` triples of its nonzero entries.
+
+    Dimensions are positive ints, indices ints in range with no position twice, coefficients tuples of ints.
+    A named tuple of its three fields, checked as ``PolyPattern`` is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries):
         if not (type(rows) is type(cols) is int and rows > 0 and cols > 0):
             raise ValueError(f"matrix dimensions must be positive ints, got {rows!r}x{cols!r}")
-        entries = []
-        for i, j, given in _grid_entries(self.entries, 3, rows, cols, "entry"):
+        checked = []
+        for i, j, given in _grid_entries(entries, 3, rows, cols, "entry"):
             coeffs = tuple(given) if isinstance(given, Iterable) else None
             if coeffs is None or not all(type(c) is int for c in coeffs):
                 raise ValueError(f"entry ({i},{j}) has coefficients {given!r}; coefficients must be ints")
-            entries.append((i, j, coeffs))
-        object.__setattr__(self, "entries", tuple(sorted(entries)))
+            checked.append((i, j, coeffs))
+        return tuple.__new__(cls, (rows, cols, tuple(sorted(checked))))
 
 
 def _nonzero_ints(seed: int, bound: int):
@@ -421,15 +424,16 @@ def _kalman_ranks(ss: StateSpacePattern, seeds, coeff_bound) -> Iterator[int]:
     the rank is n or the queue runs out.
     """
     seeds = _seed_list(seeds)
-    if ss.n > KALMAN_MAX_STATES:
-        raise GuardLimitError(f"controllability-matrix test guarded at {KALMAN_MAX_STATES} states, got {ss.n}")
+    n = ss.n
+    if n > KALMAN_MAX_STATES:
+        raise GuardLimitError(f"controllability-matrix test guarded at {KALMAN_MAX_STATES} states, got {n}")
     a_positions, b_positions = sorted(ss.a_entries), sorted(ss.b_entries)
     for seed in seeds:
         draw = _nonzero_ints(seed, coeff_bound)
-        a_rows = [[] for _ in range(ss.n)]
+        a_rows = [[] for _ in range(n)]
         for i, j in a_positions:
             a_rows[i].append((j, draw()))
-        queue = [[0] * ss.n for _ in range(ss.m)]  # the columns of B
+        queue = [[0] * n for _ in range(ss.m)]  # the columns of B
         for i, k in b_positions:
             queue[k][i] = draw() % _PRIME
         basis = []  # (pivot, vector): 1 at its pivot, 0 at every earlier pivot
@@ -443,7 +447,7 @@ def _kalman_ranks(ss: StateSpacePattern, seeds, coeff_bound) -> Iterator[int]:
             inv = pow(v[p], -1, _PRIME)
             v = [x * inv % _PRIME for x in v]
             basis.append((p, v))
-            if len(basis) == ss.n:
+            if len(basis) == n:
                 break
             queue.append([sum(a * v[j] for j, a in row) % _PRIME for row in a_rows])
         yield len(basis)

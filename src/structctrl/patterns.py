@@ -22,12 +22,15 @@ pattern, 2n + m for the pencil [sI - A  B] of a statespace file.  The
 emitters refuse what the parsers would, so every emitted text parses back.
 
 Internally all indices are 0-based.
+
+Both patterns are named tuples whose constructors check every field; the
+parsers, which check as they read, build them past those checks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PatternFormatError
 
@@ -43,60 +46,79 @@ __all__ = [
 MAX_VERTICES = 1_000_000  # graph vertices one header may ask for; each costs about 0.7 KB
 
 
-@dataclass(frozen=True)
-class PolyPattern:
+class _Checked:
+    """Base of the records whose constructor checks its fields: ``_make``, and so ``_replace``, build through it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _PolyPatternFields(NamedTuple):
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, int, int], ...]
+
+
+class PolyPattern(_Checked, _PolyPatternFields):
     """Nonzero structure of a p-by-v polynomial matrix.
 
     Built from a mapping of 0-based (row, col) positions to entry degrees
     (>= 0), or from (row, col, degree) triples with no position twice; the
     positive dimensions, indices and degrees must be ints.  ``entries`` holds
     them as row-major (row, col, degree) triples, the format of the graph's
-    ``edges``.  A pattern compares, hashes, pickles and copies as a record
-    of its three fields, and ``dataclasses.replace`` rebuilds it.
+    ``edges``.  A pattern is a named tuple of its three fields: it compares
+    and hashes as that tuple, so it equals a plain tuple of the same fields,
+    and ``p._replace(cols=4)``, pickling and copying rebuild it through the
+    checks.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows, cols, given = self.rows, self.cols, self.entries
+    def __new__(cls, rows: int, cols: int, entries):
         if not (type(rows) is type(cols) is int and rows > 0 and cols > 0):
             raise ValueError(f"pattern dimensions must be positive ints, got {rows!r}x{cols!r}")
-        if isinstance(given, Mapping):
-            triples = [(*p, d) for p, d in zip(_grid_entries(given, 2, rows, cols, "position"), given.values())]
+        if isinstance(entries, Mapping):
+            triples = [(*p, d) for p, d in zip(_grid_entries(entries, 2, rows, cols, "position"), entries.values())]
         else:
-            triples = _grid_entries(given, 3, rows, cols, "entry")
+            triples = _grid_entries(entries, 3, rows, cols, "entry")
         for i, j, d in triples:
             if not (type(d) is int and d >= 0):
                 raise ValueError(f"entry ({i},{j}) has degree {d!r}; degrees must be ints >= 0")
-        object.__setattr__(self, "entries", tuple(sorted(triples)))
+        return tuple.__new__(cls, (rows, cols, tuple(sorted(triples))))
 
 
-@dataclass(frozen=True)
-class StateSpacePattern:
+class _StateSpaceFields(NamedTuple):
+    n: int
+    m: int
+    a_entries: frozenset[tuple[int, int]]
+    b_entries: frozenset[tuple[int, int]]
+
+
+class StateSpacePattern(_Checked, _StateSpaceFields):
     """Nonzero structure of a first-order system d/dt x = A x + B u.
 
     ``a_entries`` holds 0-based (i, j) positions where A is nonzero and
     ``b_entries`` (i, k) positions where B is nonzero, no position twice;
     both are stored as frozensets, whatever collection is given.  Counts
-    and indices must be ints, n positive and m non-negative.
+    and indices must be ints, n positive and m non-negative.  A named tuple
+    of its four fields, checked as ``PolyPattern`` is.
     """
 
-    n: int
-    m: int
-    a_entries: frozenset[tuple[int, int]] = frozenset()
-    b_entries: frozenset[tuple[int, int]] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (type(self.n) is type(self.m) is int):
-            raise ValueError(f"state and input counts must be ints, got {self.n!r}, {self.m!r}")
-        if self.n < 1:
-            raise ValueError(f"state count must be positive, got {self.n}")
-        if self.m < 0:
-            raise ValueError(f"input count must be non-negative, got {self.m}")
-        for name, field, cols in (("A", "a_entries", self.n), ("B", "b_entries", self.m)):
-            object.__setattr__(self, field, frozenset(_grid_entries(getattr(self, field), 2, self.n, cols, f"{name} entry")))
+    def __new__(cls, n: int, m: int, a_entries=frozenset(), b_entries=frozenset()):
+        if not (type(n) is type(m) is int):
+            raise ValueError(f"state and input counts must be ints, got {n!r}, {m!r}")
+        if n < 1:
+            raise ValueError(f"state count must be positive, got {n}")
+        if m < 0:
+            raise ValueError(f"input count must be non-negative, got {m}")
+        a_entries = frozenset(_grid_entries(a_entries, 2, n, n, "A entry"))
+        b_entries = frozenset(_grid_entries(b_entries, 2, n, m, "B entry"))
+        return tuple.__new__(cls, (n, m, a_entries, b_entries))
 
 
 def _grid_entries(given: Iterable, arity: int, rows: int, cols: int, what: str) -> list[tuple]:
@@ -119,10 +141,7 @@ def _grid_entries(given: Iterable, arity: int, rows: int, cols: int, what: str) 
 
 def _record(cls, *fields):
     """A ``cls`` record of ``fields`` as given, past the constructor: they are checked and in stored form."""
-    record = cls.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
-        object.__setattr__(record, name, value)
-    return record
+    return tuple.__new__(cls, fields)
 
 
 def _check_vertices(what: str, vertices: int, lineno: int | None = None):

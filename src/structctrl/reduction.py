@@ -37,7 +37,6 @@ edges are the kept edges whose row carries its label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReducedGraph:
+class ReducedGraph(NamedTuple):
     """A graph with all redundant edges removed, and the connected components of what is left.
 
     ``edges`` keeps, sorted, exactly the (r, c, weight) triples of the
@@ -109,6 +107,7 @@ def _open_part_roots(g: WeightedBigraph, pair_r: list[int], in_h: list[bool], in
     follows exactly those edges: from an H row every column, from a V row its
     V columns, from an H column its H rows, from a V column every row.
     """
+    r_adj, c_adj = g.r_adj, g.c_adj
     root_of = [-1] * g.r_count
     c_seen = [False] * g.c_count
     for root in range(g.r_count):
@@ -118,10 +117,10 @@ def _open_part_roots(g: WeightedBigraph, pair_r: list[int], in_h: list[bool], in
         root_of[root] = root
         stack = [root]
         while stack:
-            for c in g.r_adj[stack.pop()]:
+            for c in r_adj[stack.pop()]:
                 if in_v[c] != h and not c_seen[c]:
                     c_seen[c] = True
-                    for r in g.c_adj[c]:
+                    for r in c_adj[c]:
                         if in_h[r] == h and root_of[r] == -1:
                             root_of[r] = root
                             stack.append(r)
@@ -142,7 +141,7 @@ def _square_part_cycles(g: WeightedBigraph, pair_c: list[int], root_of: list[int
     pencil is.  Iterative Tarjan for the rest, so large graphs cannot
     exhaust the stack.
     """
-    n = g.r_count
+    n, adj = g.r_count, g.r_adj
     index = [-1] * n
     low = [0] * n
     stack: list[int] = []
@@ -150,7 +149,7 @@ def _square_part_cycles(g: WeightedBigraph, pair_c: list[int], root_of: list[int
     for root in range(n):
         if root_of[root] != -1:
             continue
-        for c in g.r_adj[root]:
+        for c in adj[root]:
             r2 = pair_c[c]
             if r2 != root and root_of[r2] == -1:
                 break
@@ -160,7 +159,7 @@ def _square_part_cycles(g: WeightedBigraph, pair_c: list[int], root_of: list[int
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        work = [(root, iter(g.r_adj[root]))]
+        work = [(root, iter(adj[root]))]
         while work:
             r, it = work[-1]
             for c in it:
@@ -171,7 +170,7 @@ def _square_part_cycles(g: WeightedBigraph, pair_c: list[int], root_of: list[int
                     index[r2] = low[r2] = counter
                     counter += 1
                     stack.append(r2)
-                    work.append((r2, iter(g.r_adj[r2])))
+                    work.append((r2, iter(adj[r2])))
                     break
                 if index[r2] < low[r]:
                     low[r] = index[r2]  # r2 is still on the stack
@@ -210,14 +209,15 @@ def remove_redundant_edges(g: WeightedBigraph) -> ReducedGraph:
             label[root] = count
             count += 1
         row_comp[r] = label[root]
+    c_adj = g.c_adj
     col_comp = [0] * g.c_count
     for c, r in enumerate(pair_c):
         if r == _UNMATCHED:  # a V column: every edge at it is kept
-            if not g.c_adj[c]:
+            if not c_adj[c]:
                 col_comp[c] = count
                 count += 1
                 continue
-            r = g.c_adj[c][0]
+            r = c_adj[c][0]
         col_comp[c] = row_comp[r]
 
     # An edge is kept exactly when it lies inside one block.  g.edges is sorted, so kept and removed are.

@@ -22,7 +22,7 @@ this one, the Krylov rank of the true pencil the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bigraph import build_graph
 from .decision import AnalysisReport, analyze_reduction
@@ -41,8 +41,7 @@ __all__ = [
 INTERCONNECTION_KINDS = ("series", "parallel", "feedback")
 
 
-@dataclass(frozen=True)
-class StateSpaceReport:
+class StateSpaceReport(NamedTuple):
     """Report on the pencil [sI - A  B], its per-state input-connectivity table, and the pencil itself."""
 
     base: AnalysisReport

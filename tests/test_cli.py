@@ -58,7 +58,8 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/nowhere.txt")
         assert code == 2
-        assert "error:" in err
+        assert err == "error: [Errno 2] No such file or directory: '/nonexistent/nowhere.txt'\n"
+        assert run(capsys, "analyze", str(FIXTURES)) == (2, "", f"error: [Errno 21] Is a directory: '{FIXTURES}'\n")
 
     def test_huge_header_exits_2(self, tmp_path, capsys):
         f = tmp_path / "p.txt"

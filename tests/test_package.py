@@ -1,6 +1,8 @@
 """The package exports exactly the names its modules declare public, and its values cannot be changed."""
 
-import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,11 +97,25 @@ def _values_from_lists():
     + [pytest.param(v, id=f"{type(v).__name__}-from-lists") for v in _values_from_lists()],
 )
 def test_public_values_are_immutable(value):
-    names = [f.name for f in dataclasses.fields(value)] if dataclasses.is_dataclass(value) else list(value._fields)
-    for name in [*names, "extra"]:
+    for name in [*value._fields, "extra"]:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
     if isinstance(value, structctrl.PolyPattern):
         with pytest.raises(TypeError):
             value.entries[(0, 2)] = 1
     hash(value)  # raises TypeError if any field, however deep, holds a mutable value
+
+
+def test_quiet_verdict_loads_no_module_it_does_not_use():
+    """A quiet verdict, the call a shell pipeline makes once per file, imports none of these: each adds to every cold start.
+
+    ``-S`` leaves out the site module, and with it whatever ``.pth`` files import at start-up.
+    """
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import sys; sys.path.insert(0, 'src'); from structctrl import cli; "
+        "code = cli.main(['analyze', 'fixtures/wide_2x3.txt', '--quiet']); "
+        "print(code, [m for m in ('dataclasses', 'inspect', 'json', 'pathlib') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], cwd=root, capture_output=True, text=True, timeout=60)
+    assert (proc.stdout, proc.stderr) == ("structurally controllable\n0 []\n", "")

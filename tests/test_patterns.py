@@ -1,7 +1,6 @@
 """Pattern data model and text formats."""
 
 import copy
-import dataclasses
 import pickle
 from decimal import Decimal
 from fractions import Fraction
@@ -307,16 +306,18 @@ class TestRecordRules:
     def test_pattern_rebuilds_from_its_own_fields(self):
         p = wide_2x3()
         assert PolyPattern(p.rows, p.cols, p.entries) == p
-        assert dataclasses.replace(p, cols=3) == p
-        wider = dataclasses.replace(p, cols=4)
+        assert p._replace(cols=3) == p
+        wider = p._replace(cols=4)
         assert (wider.rows, wider.cols, wider.entries) == (2, 4, p.entries)
         assert PolyPattern(2, 3, [[1, 2, 0], [0, 0, 1]]).entries == ((0, 0, 1), (1, 2, 0))
         with pytest.raises(ValueError, match=r"^entry \(0,2\) outside 2x2$"):
-            dataclasses.replace(p, cols=2)
+            p._replace(cols=2)
+        with pytest.raises(ValueError, match=r"^entry \(0,2\) outside 2x2$"):
+            PolyPattern._make((2, 2, p.entries))
         with pytest.raises(ValueError, match=r"^duplicate entry \(0,0\)$"):
             PolyPattern(2, 3, [(0, 0, 1), (1, 1, 0), (0, 0, 2)])
         ss = gilbert_form(3)
-        assert dataclasses.replace(ss, m=2) == StateSpacePattern(3, 2, ss.a_entries, ss.b_entries)
+        assert ss._replace(m=2) == StateSpacePattern(3, 2, ss.a_entries, ss.b_entries)
 
 
 # One position rule for every record: the same malformed entries, each
@@ -517,9 +518,9 @@ def test_statespace_constructor_accepts_only_what_parses_back(n, m, a, b):
 
 def assert_same_fields(made, built):
     """Equal field by field, each of the same type: the parsers' records against the constructor's."""
-    for field in dataclasses.fields(built):
-        a, b = getattr(made, field.name), getattr(built, field.name)
-        assert type(a) is type(b) and a == b, field.name
+    for name in built._fields:
+        a, b = getattr(made, name), getattr(built, name)
+        assert type(a) is type(b) and a == b, name
 
 
 @settings(max_examples=200)

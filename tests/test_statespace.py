@@ -1,6 +1,5 @@
 """First-order systems: pencil construction, connectivity criterion, generators."""
 
-import dataclasses
 import random
 from collections import deque
 
@@ -83,9 +82,9 @@ def test_pencil_equals_checked_constructor(ss):
     expected = PolyPattern(ss.n, ss.n + ss.m, entries)
     pencil = controllability_pencil(ss)
     assert pencil == expected and hash(pencil) == hash(expected)
-    for field in dataclasses.fields(PolyPattern):
-        made, built = getattr(pencil, field.name), getattr(expected, field.name)
-        assert type(made) is type(built) and made == built, field.name
+    for name in PolyPattern._fields:
+        made, built = getattr(pencil, name), getattr(expected, name)
+        assert type(made) is type(built) and made == built, name
     assert all(type(t) is tuple and [type(x) for x in t] == [int] * 3 for t in pencil.entries)
     with pytest.raises(TypeError):
         pencil.entries[(0, 0)] = 5
