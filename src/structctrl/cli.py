@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from . import patterns
 from .bigraph import build_graph
 from .decision import AnalysisReport, analyze, analyze_reduction
-from .errors import GuardLimitError
+from .errors import GuardLimitError, PatternFormatError
 from .oracle import DEFAULT_COEFF_BOUND, kalman_controllable, kalman_deficiencies, zero_set_empty, zero_set_gcd_degrees
 from .patterns import (
     PolyPattern,
@@ -49,11 +49,20 @@ DEFAULT_SEEDS = "0,1,2,3,4"
 
 
 def _read_text(path: str) -> str:
-    """The text of a file, or of stdin for ``-``: its bytes decoded as strict UTF-8, whatever the stream's encoding."""
+    """The text of a file, or of stdin for ``-``: its bytes decoded as strict UTF-8, whatever the stream's encoding.
+
+    A byte that does not decode is reported on its line, numbered as ``str.splitlines`` numbers the text.
+    """
     if path == "-":
-        return sys.stdin.buffer.read().decode("utf-8")
-    with open(path, "rb") as fh:
-        return fh.read().decode("utf-8")
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())  # "x" stands in for the bad byte
+        raise PatternFormatError(f"invalid UTF-8 byte 0x{data[exc.start]:02x} ({exc.reason})", lineno) from None
 
 
 def _write(text: str) -> None:

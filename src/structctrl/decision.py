@@ -1,4 +1,4 @@
-"""Structural verdicts: generic nonsingularity, generic unimodularity, controllability.
+"""Structural verdicts: the controllability report of a pattern.
 
 The controllability question for a differential-algebraic system with a
 given sparsity pattern reduces to a purely combinatorial check: build the
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bigraph import build_graph, term_rank
+from .bigraph import build_graph
 from .errors import ZeroTermRankError
 from .patterns import PolyPattern
 from .reduction import Component, ReducedGraph, connected_components, remove_redundant_edges
@@ -30,8 +30,6 @@ __all__ = [
     "UNCONTROLLABLE",
     "Witness",
     "AnalysisReport",
-    "generic_nonsingular",
-    "generic_unimodular",
     "analyze",
     "analyze_reduction",
 ]
@@ -59,25 +57,6 @@ class AnalysisReport(NamedTuple):
     @property
     def controllable(self) -> bool:
         return self.verdict == CONTROLLABLE
-
-
-def generic_nonsingular(pattern: PolyPattern) -> bool:
-    """True iff a square pattern admits a perfect matching (generic determinant nonzero)."""
-    if pattern.rows != pattern.cols:
-        raise ValueError(f"nonsingularity requires a square pattern, got {pattern.rows}x{pattern.cols}")
-    return term_rank(build_graph(pattern)) == pattern.rows
-
-
-def generic_unimodular(pattern: PolyPattern) -> bool:
-    """True iff the generic determinant of a square pattern is a nonzero constant.
-
-    Holds exactly when a perfect matching exists and the pattern is
-    structurally controllable: every component of a square full-rank
-    pattern is square, so every kept edge has weight zero, each surviving
-    determinant term is constant and, the entries being independent, the
-    terms cannot cancel.
-    """
-    return generic_nonsingular(pattern) and analyze(pattern).controllable
 
 
 def analyze_reduction(rg: ReducedGraph) -> AnalysisReport:

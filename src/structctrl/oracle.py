@@ -29,9 +29,9 @@ closure of B under A mod q.  Both checks are guarded: the zero-set test at
 min(p, v) <= ZERO_SET_MAX_DIM, at most ZERO_SET_MAX_COEFFS coefficients
 drawn per instance (the sum of degree + 1 over the entries, which also
 bounds every minor's degree), at most ZERO_SET_MAX_MINORS maximal minors
-and at most ZERO_SET_MAX_EUCLID coefficient products for Euclid per seed,
-the Kalman test at n <= KALMAN_MAX_STATES; past a guard they raise
-GuardLimitError.
+over the rows and columns that carry an entry and at most
+ZERO_SET_MAX_EUCLID coefficient products for Euclid per seed, the Kalman
+test at n <= KALMAN_MAX_STATES; past a guard they raise GuardLimitError.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ __all__ = [
 
 DEFAULT_COEFF_BOUND = 99
 ZERO_SET_MAX_DIM = 6
-ZERO_SET_MAX_MINORS = 10_000  # C(p, r) * C(v, r) maximal minors, enumerated per seed
+ZERO_SET_MAX_MINORS = 10_000  # C(p', r) * C(v', r) maximal minors over the p' rows and v' columns with an entry, per seed
 ZERO_SET_MAX_COEFFS = 25_000  # sum of (degree + 1) over the entries: coefficients drawn per seed
 ZERO_SET_MAX_EUCLID = 2_000_000  # Euclid coefficient products per seed; 1.3 s at the edge (1x2, degree 1,413), 2-vCPU x86_64 VM
 KALMAN_MAX_STATES = 12
@@ -218,14 +218,14 @@ class _Plan:
     them, and sub-minors as a minor first needs them, so all the minors and
     all the instances share one memo (Gentleman and Johnson 1976).
 
-    Minors that cannot be nonzero are not planned.  The scan takes a row
-    set's column sets only from the columns its rows meet, and a minor with
-    a column that meets none of its rows, or a row that meets none of its
-    columns, is recorded as state 0 without expanding.  That row or column
-    stays in every sub-minor the expansion would reach, so each of them is
-    zero too, and the nonzero states keep their numbers, terms and order.
-    The columns a row mask meets and the rows a column mask meets are
-    memoised per mask.
+    Minors that cannot be nonzero are not planned.  The scan takes its row
+    sets only from the rows with an entry and a row set's column sets only
+    from the columns its rows meet, and a minor with a column that meets
+    none of its rows, or a row that meets none of its columns, is recorded
+    as state 0 without expanding.  That row or column stays in every
+    sub-minor the expansion would reach, so each of them is zero too, and
+    the nonzero states keep their numbers, terms and order.  The columns a
+    row mask meets and the rows a column mask meets are memoised per mask.
     """
 
     def __init__(self, rows: int, cols: int, entries, size: int):
@@ -248,8 +248,8 @@ class _Plan:
         self._scan = self._pairs(n_rows, n_cols, size)
 
     def _pairs(self, n_rows: int, n_cols: int, size: int) -> Iterator[tuple[int, int]]:
-        """The (row mask, column mask) pairs of size-by-size minors in lexicographic order, each column one the rows meet."""
-        for rows in map(sum, combinations([1 << i for i in range(n_rows)], size)):
+        """The (row mask, column mask) pairs of size-by-size minors in lexicographic order, from rows with an entry and columns they meet."""
+        for rows in map(sum, combinations([1 << i for i in range(n_rows) if self.row_entries[i]], size)):
             meets = self._cols_of[rows]
             for cols in map(sum, combinations([1 << j for j in range(n_cols) if meets >> j & 1], size)):
                 yield rows, cols
@@ -377,7 +377,8 @@ def _seed_gcd_degrees(pattern: PolyPattern, seeds, coeff_bound) -> Iterator[int]
     if coeffs > ZERO_SET_MAX_COEFFS:
         raise GuardLimitError(f"instantiation guarded at {ZERO_SET_MAX_COEFFS} coefficients, pattern draws {coeffs}")
     rank = term_rank(build_graph(pattern))
-    minors = math.comb(pattern.rows, rank) * math.comb(pattern.cols, rank)
+    # a row or column with no entry only gives zero minors, which the plan's scan never visits
+    minors = math.prod(math.comb(len({e[side] for e in pattern.entries}), rank) for side in (0, 1))
     if minors > ZERO_SET_MAX_MINORS:
         raise GuardLimitError(
             f"minor enumeration guarded at {ZERO_SET_MAX_MINORS} minors, "

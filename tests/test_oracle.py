@@ -406,6 +406,20 @@ class TestZeroSet:
         low_rank = PolyPattern(6, 26, {(i, j): 0 for i in range(6) for j in range(2)})
         assert zero_set_gcd_degrees(low_rank, (0,)) == [0]
 
+    def test_minor_count_guard_counts_rows_and_columns_with_an_entry(self):
+        # each header alone has C(6, r) * C(20, r) >= 38,760 minors; the entries reach C(8, 6) = 28, or C(8, 5) = 56
+        block = {(i, j): 0 for i in range(6) for j in range(8)}
+        cases = [
+            (PolyPattern(6, 20, block), 0),
+            (PolyPattern(20, 6, {(j, i): d for (i, j), d in block.items()}), 0),
+            (PolyPattern(6, 20, {ij: 1 for ij in block}), 0),
+            (PolyPattern(6, 20, {(i, j): 1 for i in range(6) for j in range(6)}), 6),  # one square component
+            (PolyPattern(6, 20, {(i, j): 0 for i in range(5) for j in range(8)}), 0),  # an empty row: term rank 5
+        ]
+        for p, degree in cases:
+            assert zero_set_gcd_degrees(p, SEEDS) == [degree] * len(SEEDS)
+            assert analyze(p).controllable == (degree == 0)
+
     def test_euclid_guard(self, monkeypatch):
         assert oracle.ZERO_SET_MAX_EUCLID == 2_000_000
         # a row of k entries of degree d: k - 1 gcds of at most (d + 1)^2 products each

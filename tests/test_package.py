@@ -1,5 +1,6 @@
 """The package exports exactly the names its modules declare public, and its values cannot be changed."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +22,6 @@ PUBLIC_API = {
         "UNCONTROLLABLE",
         "Witness",
         "AnalysisReport",
-        "generic_nonsingular",
-        "generic_unimodular",
         "analyze",
         "analyze_reduction",
     ],
@@ -50,7 +49,7 @@ PUBLIC_API = {
 def test_public_api_is_pinned():
     modules = (patterns, bigraph, reduction, decision, statespace, oracle, errors)
     assert {mod.__name__.removeprefix("structctrl."): mod.__all__ for mod in modules} == PUBLIC_API
-    assert len(structctrl.__all__) == 36
+    assert len(structctrl.__all__) == 34
 
 
 def test_package_all_joins_module_lists():
@@ -119,3 +118,18 @@ def test_quiet_verdict_loads_no_module_it_does_not_use():
     )
     proc = subprocess.run([sys.executable, "-S", "-c", script], cwd=root, capture_output=True, text=True, timeout=60)
     assert (proc.stdout, proc.stderr) == ("structurally controllable\n0 []\n", "")
+
+
+def test_readme_library_section(monkeypatch):
+    """The code block under README "Library" runs from the repo root, and every name its "Key entry points" sentence gives is public."""
+    root = Path(__file__).resolve().parent.parent
+    section = (root / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].verdict == structctrl.CONTROLLABLE
+    sentence = re.search(r"Key entry points:(.*?)\.\s", section, re.DOTALL).group(1)
+    names = [name for name in re.findall(r"`([^`]+)`", sentence) if name.isidentifier()]
+    assert "analyze" in names and "kalman_deficiencies" in names
+    assert [name for name in names if name not in structctrl.__all__] == []
